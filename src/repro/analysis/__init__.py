@@ -3,7 +3,6 @@
 from repro.analysis.balance import LoadStats, channel_loads, gini, load_stats
 from repro.analysis.blocked import HopStats, hop_stats_from_dense, streaming_hop_stats
 from repro.analysis.bisection import BisectionEstimate, bisection_estimate, cut_links
-from repro.analysis.faults import FaultTrialStats, degrade, fault_sweep
 from repro.analysis.paths import PathDiversity, path_diversity
 from repro.analysis.metrics import (
     GraphMetrics,
@@ -41,9 +40,6 @@ __all__ = [
     "BisectionEstimate",
     "bisection_estimate",
     "cut_links",
-    "FaultTrialStats",
-    "degrade",
-    "fault_sweep",
     "PathDiversity",
     "path_diversity",
 ]

@@ -15,7 +15,7 @@ regenerated without writing code:
   balance      custom routing vs up*/down* channel loads (E13)
   related      related-work diameter-and-degree + DLN-x + greedy tables
   robustness   link-failure degradation and bisection bounds
-  faults       degradation curves under link loss (streaming metrics)
+  faults       degradation curves under link loss (percolation view)
   percolation  coupled link-percolation sweep (fused incremental BFS)
   placement    cabinet-placement optimization gains (refs [7], [11])
   claims       machine-checked scorecard of every quantitative claim
@@ -40,6 +40,41 @@ __all__ = ["main", "build_parser"]
 
 def _sizes(arg: str) -> tuple[int, ...]:
     return tuple(int(s) for s in arg.split(","))
+
+
+def _fractions(arg: str) -> tuple[float, ...]:
+    """Parse a fail-fraction list; a bad entry is an argparse error
+    naming it (see :func:`repro.faults.percolation.validate_fractions`)."""
+    from repro.faults.percolation import validate_fractions
+
+    try:
+        return validate_fractions(float(x) for x in arg.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _resilience_args(p: argparse.ArgumentParser, out: str, fractions: str) -> None:
+    """Options of ``faults`` and ``percolation``: two views of one
+    engine, sharing its per-(trial, fraction) store points."""
+    p.add_argument("--n", type=int, default=1024)
+    p.add_argument("--fractions", type=_fractions, default=None,
+                   help=f"ascending fail fractions in [0, 1] (default {fractions})")
+    p.add_argument("--trials", type=int, default=None,
+                   help="coupled trials per kind (default 10)")
+    p.add_argument("--kinds", type=lambda s: tuple(s.split(",")), default=None,
+                   help="topology kinds (default the paper trio)")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--out", default=out, help="artifact path")
+    p.add_argument("--workers", type=_workers, default=None,
+                   help="process-pool size (or 'auto'); default REPRO_WORKERS")
+    p.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
+                   help="persist per-(trial, fraction) points under DIR "
+                        "(sets REPRO_STORE_DIR); faults and percolation share them")
+    p.add_argument("--resume", action="store_true",
+                   help="shorthand for --store-dir .repro-store: reuse every "
+                        "previously stored point and persist new ones")
+    p.add_argument("--no-store", action="store_true", dest="no_store",
+                   help="bypass the run store entirely (REPRO_STORE=off)")
 
 
 def _workers(arg: str) -> int:
@@ -200,24 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
         "faults",
         help="degradation curves under link failures (writes a JSON artifact)",
     )
-    fl.add_argument("--n", type=int, default=1024)
-    fl.add_argument("--fractions", type=lambda s: tuple(float(x) for x in s.split(",")),
-                    default=None, help="fail fractions (default 0,0.01,0.02,0.05,0.10)")
-    fl.add_argument("--trials", type=int, default=None,
-                    help="trials per point (default REPRO_FAULT_TRIALS or 10)")
-    fl.add_argument("--kinds", type=lambda s: tuple(s.split(",")), default=None,
-                    help="topology kinds (default the paper trio)")
-    fl.add_argument("--seed", type=int, default=0)
-    fl.add_argument("--out", default="DEGRADATION.json", help="artifact path")
-    fl.add_argument("--workers", type=_workers, default=None,
-                    help="process-pool size (or 'auto'); default REPRO_WORKERS")
-    fl.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
-                    help="persist trial results under DIR (sets REPRO_STORE_DIR)")
-    fl.add_argument("--resume", action="store_true",
-                    help="shorthand for --store-dir .repro-store: reuse every "
-                         "previously stored trial and persist new ones")
-    fl.add_argument("--no-store", action="store_true", dest="no_store",
-                    help="bypass the run store entirely (REPRO_STORE=off)")
+    _resilience_args(fl, out="DEGRADATION.json", fractions="0,0.01,0.02,0.05,0.10")
 
     pc = sub.add_parser(
         "percolation",
@@ -228,35 +246,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "nest and the incremental engine settles every fraction "
                     "in one fused bit-parallel BFS. Reports giant-component, "
                     "component-count, reachability, ASPL and diameter decay; "
-                    "byte-identical to the naive per-point engine "
-                    "(--engine naive) for any worker count or REPRO_SHM "
+                    "byte-identical for any worker count or REPRO_SHM "
                     "setting. Writes a JSON artifact.",
     )
-    pc.add_argument("--n", type=int, default=1024)
-    pc.add_argument("--fractions", type=lambda s: tuple(float(x) for x in s.split(",")),
-                    default=None,
-                    help="ascending fail fractions "
-                         "(default 0,0.01,0.02,0.05,0.10,0.15,0.20)")
-    pc.add_argument("--trials", type=int, default=None,
-                    help="coupled trials per kind (default REPRO_FAULT_TRIALS or 10)")
-    pc.add_argument("--kinds", type=lambda s: tuple(s.split(",")), default=None,
-                    help="topology kinds (default the paper trio)")
-    pc.add_argument("--seed", type=int, default=0)
-    pc.add_argument("--engine", choices=["incremental", "naive"],
-                    default="incremental",
-                    help="fused multi-fraction engine, or the naive per-point "
-                         "baseline it is checked against")
-    pc.add_argument("--out", default="PERCOLATION.json", help="artifact path")
-    pc.add_argument("--workers", type=_workers, default=None,
-                    help="process-pool size (or 'auto'); default REPRO_WORKERS")
-    pc.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
-                    help="persist per-(trial, fraction) points under DIR "
-                         "(sets REPRO_STORE_DIR)")
-    pc.add_argument("--resume", action="store_true",
-                    help="shorthand for --store-dir .repro-store: reuse every "
-                         "previously stored point and persist new ones")
-    pc.add_argument("--no-store", action="store_true", dest="no_store",
-                    help="bypass the run store entirely (REPRO_STORE=off)")
+    _resilience_args(pc, out="PERCOLATION.json",
+                     fractions="0,0.01,0.02,0.05,0.10,0.15,0.20")
 
     pl = sub.add_parser("placement", help="cabinet-placement optimization gains")
     pl.add_argument("--n", type=int, default=256)
@@ -652,28 +646,18 @@ def _apply_store_flags(args) -> None:
         os.environ.pop("REPRO_STORE", None)
 
 
-def _cmd_faults(args) -> None:
-    from repro.faults import DEFAULT_FRACTIONS, degradation_artifact
+def _cmd_resilience(args) -> None:
+    """``faults`` and ``percolation``: the same sweep, two artifacts."""
+    from repro import faults
 
     _apply_store_flags(args)
-    fractions = args.fractions if args.fractions else DEFAULT_FRACTIONS
-    table, _ = degradation_artifact(
-        args.out, n=args.n, fractions=fractions, trials=args.trials,
+    artifact, default = {
+        "faults": (faults.degradation_artifact, faults.DEFAULT_FRACTIONS),
+        "percolation": (faults.percolation_artifact, faults.DEFAULT_PERC_FRACTIONS),
+    }[args.command]
+    table, _ = artifact(
+        args.out, n=args.n, fractions=args.fractions or default, trials=args.trials,
         seed=args.seed, kinds=args.kinds, workers=args.workers,
-    )
-    print(table)
-    print(f"\nwrote {args.out}")
-
-
-def _cmd_percolation(args) -> None:
-    from repro.faults import DEFAULT_PERC_FRACTIONS, percolation_artifact
-
-    _apply_store_flags(args)
-    fractions = args.fractions if args.fractions else DEFAULT_PERC_FRACTIONS
-    table, _ = percolation_artifact(
-        args.out, n=args.n, fractions=fractions, trials=args.trials,
-        seed=args.seed, kinds=args.kinds, workers=args.workers,
-        engine=args.engine,
     )
     print(table)
     print(f"\nwrote {args.out}")
@@ -947,8 +931,8 @@ def _dispatch(argv: list[str] | None = None) -> None:
         "balance": _cmd_balance,
         "related": _cmd_related,
         "robustness": _cmd_robustness,
-        "faults": _cmd_faults,
-        "percolation": _cmd_percolation,
+        "faults": _cmd_resilience,
+        "percolation": _cmd_resilience,
         "placement": _cmd_placement,
         "report": _cmd_report,
         "diagram": _cmd_diagram,

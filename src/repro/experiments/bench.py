@@ -15,8 +15,8 @@ match the closed-form offset exactly, sweeps must be deterministic
 across repeats and worker counts, and router parameters must be
 store-key-sensitive only in pipelined mode) -- (d) gates the fault-injection engine -- a timed link-failure schedule
 must reroute deterministically and account for every measured packet,
-and a tiny degradation point must flow through the streaming metrics
-path, while the incremental percolation engine must be byte-identical
+and a tiny degradation point must flow through the percolation
+view, while the incremental percolation engine must be byte-identical
 to the naive per-point baseline (across engines, worker counts and
 ``REPRO_SHM``) and beat it by ``PERC_SPEEDUP_FLOOR`` on the gate sweep
 -- (e) gates the large-n metrics engine -- the blocked streaming
@@ -480,7 +480,7 @@ def _fault_smoke():
 
 
 def _fault_degradation_smoke(workers=None):
-    """One tiny degradation point through the streaming metrics path."""
+    """One tiny degradation point through the percolation view."""
     from repro.faults import degradation_point
 
     pt = degradation_point("dsn", 64, 0.05, trials=2, seed=0, workers=workers)
@@ -897,7 +897,7 @@ def _percolation_gate(workers: int, reps: int = 3) -> dict:
     import json
     import time
 
-    from repro.faults.percolation import percolation_sweep
+    from repro.faults.percolation import _naive_point_job, percolation_sweep
     from repro.util.parallel import shutdown_pool
 
     saved = {k: os.environ.get(k)
@@ -911,28 +911,36 @@ def _percolation_gate(workers: int, reps: int = 3) -> dict:
     def encode(raw):
         return json.dumps(raw, sort_keys=True)
 
+    def naive_raw():
+        """The sweep's raw rows, one standalone naive job per point."""
+        n, seed = kw["n"], kw["seed"]
+        return {
+            kind: [
+                [_naive_point_job((kind, n, seed, seed, t, f)) for f in kw["fractions"]]
+                for t in range(kw["trials"])
+            ]
+            for kind in kw["kinds"]
+        }
+
     try:
         naive_s = inc_s = float("inf")
         raw_naive = raw_inc = None
         for _ in range(reps):
             t0 = time.perf_counter()
-            _, _, raw_naive = percolation_sweep(engine="naive", workers=0, **kw)
+            raw_naive = naive_raw()
             naive_s = min(naive_s, time.perf_counter() - t0)
             t0 = time.perf_counter()
-            _, _, raw_inc = percolation_sweep(
-                engine="incremental", workers=0, **kw)
+            _, _, raw_inc = percolation_sweep(workers=0, **kw)
             inc_s = min(inc_s, time.perf_counter() - t0)
         engines_identical = encode(raw_naive) == encode(raw_inc)
 
-        _, _, raw_pool = percolation_sweep(
-            engine="incremental", workers=workers, **kw)
+        _, _, raw_pool = percolation_sweep(workers=workers, **kw)
         workers_identical = encode(raw_inc) == encode(raw_pool)
 
         # REPRO_SHM enters the pool fingerprint, so this leg gets a
         # fresh pool whose fan-out pickles the slot tables instead.
         os.environ["REPRO_SHM"] = "off"
-        _, _, raw_off = percolation_sweep(
-            engine="incremental", workers=workers, **kw)
+        _, _, raw_off = percolation_sweep(workers=workers, **kw)
         shm_identical = encode(raw_inc) == encode(raw_off)
     finally:
         for k, v in saved.items():

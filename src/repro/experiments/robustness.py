@@ -8,12 +8,9 @@ at equal degree.
 
 from __future__ import annotations
 
-from dataclasses import asdict
-
-from repro import store
 from repro.analysis.bisection import BisectionEstimate, bisection_estimate
-from repro.analysis.faults import FaultTrialStats, fault_sweep
 from repro.experiments.sweeps import paper_trio
+from repro.faults.degradation import DegradationPoint, degradation_curves
 from repro.util import format_table
 
 __all__ = ["fault_table", "bisection_table", "rerouting_table"]
@@ -24,43 +21,21 @@ def fault_table(
     fractions: tuple[float, ...] = (0.01, 0.05, 0.10),
     trials: int = 15,
     seed: int = 0,
-) -> tuple[str, list[FaultTrialStats]]:
+) -> tuple[str, list[DegradationPoint]]:
     """Link-failure degradation rows for torus / RANDOM / DSN.
 
-    Each (topology, fraction) aggregate is a pure function of
-    ``(topology fingerprint, fraction, trials, seed)`` -- every
-    ``fault_sweep`` call seeds its own RNG stream -- so the rows are
-    store-backed point by point (:mod:`repro.store`): a repeated or
+    The same trio x fractions x trials experiment as
+    :func:`repro.faults.degradation_curves`, under this report's title;
+    every (trial, fraction) point is store-backed, so a repeated or
     resumed robustness run recomputes only what is missing.
     """
-    from repro.cache import topology_fingerprint
-
-    stats: list[FaultTrialStats] = []
-    for topo in paper_trio(n, seed=seed):
-        for f in fractions:
-            key = store.run_key(
-                "fault_sweep",
-                {
-                    "topo": topology_fingerprint(topo),
-                    "fraction": float(f),
-                    "trials": int(trials),
-                    "seed": int(seed),
-                },
-            )
-            stats.append(
-                store.get_or_run(
-                    key,
-                    lambda topo=topo, f=f: fault_sweep(topo, f, trials=trials, seed=seed),
-                    encode=asdict,
-                    decode=lambda doc: FaultTrialStats(**doc),
-                )
-            )
+    _, points = degradation_curves(n=n, fractions=fractions, trials=trials, seed=seed)
     table = format_table(
-        ["topology", "fail_frac", "P(connected)", "diameter", "aspl"],
-        [s.row() for s in stats],
+        list(DegradationPoint.HEADERS),
+        [p.row() for p in points],
         title=f"Link-failure degradation at n={n} ({trials} trials each)",
     )
-    return table, stats
+    return table, points
 
 
 def rerouting_table(

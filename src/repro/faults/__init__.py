@@ -16,7 +16,6 @@ See ``docs/resilience.md`` for the full story. Quick use::
 from repro.faults.degradation import (
     DEFAULT_FRACTIONS,
     DegradationPoint,
-    default_trials,
     degradation_artifact,
     degradation_curves,
     degradation_point,
@@ -35,12 +34,14 @@ from repro.faults.models import (
 )
 from repro.faults.percolation import (
     DEFAULT_PERC_FRACTIONS,
+    DEFAULT_TRIALS,
     PercolationPoint,
     link_field,
     percolation_artifact,
     percolation_sweep,
     percolation_trial,
     slot_tables,
+    validate_fractions,
 )
 from repro.faults.schedule import FaultEvent, FaultSchedule, random_link_schedule
 from repro.faults.spatial import cabinet_burst_faults, cabinet_faults
@@ -61,14 +62,15 @@ __all__ = [
     "run_with_faults",
     "DegradationPoint",
     "DEFAULT_FRACTIONS",
-    "default_trials",
     "degradation_point",
     "degradation_curves",
     "degradation_artifact",
     "PercolationPoint",
     "DEFAULT_PERC_FRACTIONS",
+    "DEFAULT_TRIALS",
     "link_field",
     "slot_tables",
+    "validate_fractions",
     "percolation_trial",
     "percolation_sweep",
     "percolation_artifact",

@@ -1,9 +1,9 @@
 """Degradation curves: metric decay of the paper trio under link loss.
 
-The `python -m repro faults` experiment. For each topology kind in the
-paper's Fig. 7-10 comparison set (torus / RANDOM / DSN) and each fail
-fraction in the sweep, it injects :func:`repro.faults.models.sample_link_faults`
-trials and reports:
+The `python -m repro faults` experiment, and the link-failure rows of
+``python -m repro robustness``. For each topology kind in the paper's
+Fig. 7-10 comparison set (torus / RANDOM / DSN) and each fail fraction
+in the sweep, it reports:
 
 * ``connected_fraction`` -- how often the survivor graph holds together;
 * ``mean_diameter`` / ``mean_aspl`` -- hop metrics over connected trials;
@@ -13,35 +13,28 @@ trials and reports:
   ``2 * links`` directed channels on average, so ``theta`` bounds the
   per-node injection rate; the ratio cancels the units).
 
-Metrics always go through :func:`repro.analysis.blocked.streaming_hop_stats`,
-the O(n)-memory blocked bit-parallel BFS -- the curves run at n = 4096
-and beyond without ever allocating an n x n matrix, and the statistics
-are bit-identical for every ``REPRO_BFS_BLOCK`` and worker count.
-
-Determinism: trial ``t`` of (kind, fraction) draws its fault set from a
-``SeedSequence([seed, kind_index, fraction_index, t])``-derived stream,
-so results are independent of how trials are distributed over
-``REPRO_WORKERS`` processes (``parallel_map`` preserves input order).
+The curves are a view over :func:`repro.faults.percolation.percolation_sweep`:
+trial ``t`` kills every link whose :func:`~repro.faults.percolation.link_field`
+value falls below the fraction, so fault sets nest across fractions and
+every point shares its store key with the percolation experiment -- a
+``faults`` run is served from points a ``percolation`` run stored.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
-from repro import store
-from repro.analysis.blocked import streaming_hop_stats
-from repro.faults.models import sample_link_faults
+from repro.faults.percolation import DEFAULT_TRIALS, percolation_sweep, validate_fractions
 from repro.util import format_table
 
 __all__ = [
     "DegradationPoint",
     "DEFAULT_FRACTIONS",
-    "default_trials",
     "degradation_point",
     "degradation_curves",
     "degradation_artifact",
@@ -50,28 +43,14 @@ __all__ = [
 #: Fail fractions of the default sweep (0 anchors the intact baseline).
 DEFAULT_FRACTIONS = (0.0, 0.01, 0.02, 0.05, 0.10)
 
-_DEFAULT_TRIALS = 10
-
-
-def default_trials() -> int:
-    """Trials per sweep point: ``REPRO_FAULT_TRIALS`` or 10.
-
-    A knob rather than an argument-only default so CI and batch jobs
-    can cheapen/deepen every fault sweep without touching call sites
-    (same spirit as ``REPRO_WORKERS``); results stay deterministic for
-    a fixed value because trial seeds depend only on the trial index.
-    """
-    raw = os.environ.get("REPRO_FAULT_TRIALS", "").strip()
-    try:
-        trials = int(raw) if raw else _DEFAULT_TRIALS
-    except ValueError:
-        return _DEFAULT_TRIALS
-    return max(1, trials)
-
 
 @dataclass(frozen=True)
 class DegradationPoint:
     """One (topology, fail fraction) point of a degradation curve."""
+
+    HEADERS: ClassVar[tuple[str, ...]] = (
+        "topology", "fail_frac", "P(connected)", "diameter", "aspl", "thr_retention",
+    )
 
     name: str
     kind: str
@@ -99,96 +78,8 @@ class DegradationPoint:
         ]
 
 
-def _trial(args: tuple) -> tuple[bool, float, float, float]:
-    """One fault trial; module-level for process-pool pickling.
-
-    ``args`` is ``(kind, n, topo_seed, fraction, trial_entropy)``;
-    returns ``(connected, diameter, aspl, links_kept_fraction)``. The
-    topology is rebuilt in the worker (memoized per process) so only
-    scalars cross the IPC boundary. Each trial is deterministic in its
-    args (the entropy key fully seeds its RNG), so the result is
-    store-backed (:mod:`repro.store`): resumed or repeated sweeps skip
-    completed trials.
-    """
-
-    def compute() -> list:
-        from repro.experiments.sweeps import make_topology
-
-        kind, n, topo_seed, fraction, entropy = args
-        topo = make_topology(kind, n, seed=topo_seed)
-        rng = np.random.default_rng(np.random.SeedSequence(list(entropy)))
-        faults = sample_link_faults(topo, fraction, seed=rng)
-        survivor = faults.apply(topo)
-        if not survivor.is_connected():
-            return [False, float("nan"), float("nan"), float("nan")]
-        # Streaming engine: O(n) memory, exact, block/worker invariant.
-        # Workers=1 inside the trial -- the fan-out is over trials.
-        stats = streaming_hop_stats(survivor, workers=1)
-        kept = survivor.num_links / topo.num_links
-        return [True, float(stats.diameter), stats.aspl, kept]
-
-    if not store.store_enabled():
-        return tuple(compute())
-    kind, n, topo_seed, fraction, entropy = args
-    key = store.run_key(
-        "fault_trial",
-        {
-            "kind": kind,
-            "n": int(n),
-            "topo_seed": int(topo_seed),
-            "fraction": float(fraction),
-            "entropy": [int(e) for e in entropy],
-        },
-    )
-    connected, diameter, aspl, kept = store.cached_value(key, compute)
-    return bool(connected), float(diameter), float(aspl), float(kept)
-
-
-def _entropy(seed: int, kind_idx: int, frac_idx: int, trial: int) -> tuple:
-    """Stable per-trial SeedSequence entropy key."""
-    return (seed, kind_idx, frac_idx, trial)
-
-
-def degradation_point(
-    kind: str,
-    n: int,
-    fail_fraction: float,
-    trials: int | None = None,
-    seed: int = 0,
-    kind_idx: int = 0,
-    frac_idx: int = 0,
-    workers: int | None = None,
-) -> DegradationPoint:
-    """Aggregate ``trials`` fault trials at one (kind, fraction) point."""
-    from repro.experiments.sweeps import make_topology
-
-    trials = default_trials() if trials is None else trials
-    topo = make_topology(kind, n, seed=seed)
-    base = streaming_hop_stats(topo, workers=workers)
-    jobs = [
-        (kind, n, seed, fail_fraction, _entropy(seed, kind_idx, frac_idx, t))
-        for t in range(trials)
-    ]
-    # dedup_map: identical trial jobs collapse before dispatch, and the
-    # store-backed _trial makes a killed sweep resume where it died.
-    results = store.dedup_map(_trial, jobs, workers=workers)
-
-    ok = [r for r in results if r[0]]
-    diams = [r[1] for r in ok]
-    aspls = [r[2] for r in ok]
-    # theta_f / theta_0 = (links_f * aspl_0) / (links_0 * aspl_f)
-    retention = [r[3] * base.aspl / r[2] for r in ok]
-    return DegradationPoint(
-        name=topo.name,
-        kind=kind,
-        n=n,
-        fail_fraction=fail_fraction,
-        trials=trials,
-        connected_fraction=len(ok) / trials,
-        mean_diameter=float(np.mean(diams)) if diams else float("nan"),
-        mean_aspl=float(np.mean(aspls)) if aspls else float("nan"),
-        throughput_retention=float(np.mean(retention)) if retention else float("nan"),
-    )
+def _mean(values: list) -> float:
+    return float(np.mean(values)) if values else float("nan")
 
 
 def degradation_curves(
@@ -199,26 +90,66 @@ def degradation_curves(
     kinds: tuple[str, ...] | None = None,
     workers: int | None = None,
 ) -> tuple[str, list[DegradationPoint]]:
-    """Full degradation sweep: kinds x fractions, formatted + raw."""
-    from repro.experiments.sweeps import PAPER_TRIO
+    """Full degradation sweep: kinds x fractions, formatted + raw.
 
-    trials = default_trials() if trials is None else trials
-    kinds = tuple(kinds) if kinds else PAPER_TRIO
+    One percolation sweep over ``fractions`` (plus an internal 0.0
+    baseline when the grid lacks one); each point then aggregates the
+    raw per-trial rows: a trial is connected when its largest component
+    spans all ``n`` switches, and diameter, ASPL and retention
+    ``kept/(kept+dead) * aspl_0/aspl_f`` average over connected trials.
+    """
+    fractions = validate_fractions(fractions)
+    trials = DEFAULT_TRIALS if trials is None else max(1, int(trials))
+    grid = fractions if fractions[0] == 0.0 else (0.0,) + fractions
+    _, perc_points, raw = percolation_sweep(
+        n=n, fractions=grid, trials=trials, seed=seed, kinds=kinds, workers=workers,
+    )
+    names = {p.kind: p.name for p in perc_points}
+    skip = len(grid) - len(fractions)
     points: list[DegradationPoint] = []
-    for ki, kind in enumerate(kinds):
-        for fi, frac in enumerate(fractions):
+    for kind, per_trial in raw.items():
+        for fi, frac in enumerate(fractions, start=skip):
+            ok = [(t[fi], t[0]) for t in per_trial if t[fi]["lcc"] == n]
+            retention = [
+                r["kept_links"] / (r["kept_links"] + r["dead_links"])
+                * base["aspl"] / r["aspl"]
+                for r, base in ok
+            ]
             points.append(
-                degradation_point(
-                    kind, n, frac, trials=trials, seed=seed,
-                    kind_idx=ki, frac_idx=fi, workers=workers,
+                DegradationPoint(
+                    name=names[kind],
+                    kind=kind,
+                    n=n,
+                    fail_fraction=frac,
+                    trials=trials,
+                    connected_fraction=len(ok) / trials,
+                    mean_diameter=_mean([r["diameter"] for r, _ in ok]),
+                    mean_aspl=_mean([r["aspl"] for r, _ in ok]),
+                    throughput_retention=_mean(retention),
                 )
             )
     table = format_table(
-        ["topology", "fail_frac", "P(connected)", "diameter", "aspl", "thr_retention"],
+        list(DegradationPoint.HEADERS),
         [p.row() for p in points],
-        title=f"Degradation curves at n={n} ({trials} trials/point, streaming metrics)",
+        title=f"Degradation curves at n={n} ({trials} coupled trials/point)",
     )
     return table, points
+
+
+def degradation_point(
+    kind: str,
+    n: int,
+    fail_fraction: float,
+    trials: int | None = None,
+    seed: int = 0,
+    workers: int | None = None,
+) -> DegradationPoint:
+    """The degradation curve of ``kind`` at one fail fraction."""
+    _, points = degradation_curves(
+        n=n, fractions=(fail_fraction,), trials=trials, seed=seed,
+        kinds=(kind,), workers=workers,
+    )
+    return points[0]
 
 
 def degradation_artifact(
@@ -231,7 +162,6 @@ def degradation_artifact(
     workers: int | None = None,
 ) -> tuple[str, list[DegradationPoint]]:
     """Run :func:`degradation_curves` and write the JSON artifact."""
-    trials = default_trials() if trials is None else trials
     table, points = degradation_curves(
         n=n, fractions=fractions, trials=trials, seed=seed,
         kinds=kinds, workers=workers,
@@ -239,10 +169,10 @@ def degradation_artifact(
     payload = {
         "experiment": "degradation_curves",
         "n": n,
-        "fractions": list(fractions),
-        "trials": trials,
+        "fractions": [float(f) for f in fractions],
+        "trials": points[0].trials,
         "seed": seed,
-        "engine": "streaming_hop_stats",
+        "engine": "percolation",
         "points": [asdict(p) for p in points],
     }
     Path(path).write_text(json.dumps(payload, indent=2) + "\n")

@@ -30,10 +30,10 @@ from repro.faults.schedule import FaultSchedule
 from repro.topologies.base import Topology
 
 # The sim/routing imports stay inside the functions: this module is
-# re-exported by ``repro.faults``, which ``repro.analysis.faults`` (and
-# through it ``repro.routing.table``) imports at module level -- pulling
-# ``repro.routing.adaptive`` in here at import time would close that
-# loop into a circular import.
+# re-exported by ``repro.faults``, which ``repro.experiments.robustness``
+# imports at module level -- pulling ``repro.routing.adaptive`` in here
+# at import time would make every fault-table import load the simulator
+# and risk a circular import.
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim.adapters import RoutingAdapter
     from repro.sim.config import SimConfig

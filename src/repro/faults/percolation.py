@@ -33,26 +33,26 @@ chunks shrink so the working set stays within the blocked-BFS envelope
 **Exact, engine-invariant metrics.** Per (trial, fraction) every
 statistic is derived from integer counters (per-source reach sizes via
 bit unpacking, per-level pair counts), so the fused engine is
-*byte-identical* to the naive per-point path (sample faults, apply a
-:class:`~repro.faults.models.FaultSet`, BFS the rebuilt survivor) for
-every block size, worker count and ``REPRO_SHM`` setting -- the
-``percolation_sweep_speedup`` bench gate pins all of it. Disconnection
+*byte-identical* to a naive per-point reference (``_naive_point_job``:
+apply a :class:`~repro.faults.models.FaultSet`, BFS the rebuilt
+survivor) for every block size, worker count and ``REPRO_SHM`` setting
+-- the ``percolation_sweep_speedup`` bench gate pins all of it. Disconnection
 is expected here, not an error: metrics are defined over reachable
 pairs, with largest-component and component-count tracking alongside.
 
 Trials fan out through :func:`repro.store.dedup_map` with the slot
 tables broadcast over shared memory, and each (topology, trial-seed,
-fraction) point is store-backed under engine-independent keys, so
-killed sweeps resume and the naive baseline can validate stored
-incremental results byte-for-byte.
+fraction) point is store-backed, so killed sweeps resume. The
+degradation and robustness tables (:mod:`repro.faults.degradation`)
+are views over the same points and store keys.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
@@ -66,9 +66,11 @@ from repro.util.parallel import parallel_map
 
 __all__ = [
     "DEFAULT_PERC_FRACTIONS",
+    "DEFAULT_TRIALS",
     "PercolationPoint",
     "link_field",
     "slot_tables",
+    "validate_fractions",
     "percolation_trial",
     "percolation_sweep",
     "percolation_artifact",
@@ -78,10 +80,14 @@ __all__ = [
 #: reaches past the paper trio's typical disconnection onset).
 DEFAULT_PERC_FRACTIONS = (0.0, 0.01, 0.02, 0.05, 0.10, 0.15, 0.20)
 
-#: Broadcast-name prefix for per-kind slot tables in sweep fan-out.
-_BC_PREFIX = "perc"
+#: Coupled trials per (kind, fraction) when a caller names none; the
+#: degradation view shares it.
+DEFAULT_TRIALS = 10
 
-_ENGINES = ("incremental", "naive")
+#: Broadcast names of per-kind slot tables in sweep fan-out:
+#: ``perc.<kind>.<part>``, one per :func:`slot_tables` output.
+_BC_PREFIX = "perc"
+_TABLE_PARTS = ("pad", "uv", "eidx")
 
 
 # ----------------------------------------------------------------------
@@ -305,16 +311,11 @@ def _fraction_metrics(
     fractions: tuple[float, ...],
     n: int,
     num_links: int,
-    j: int | None = None,
 ) -> list[dict]:
-    """Exact per-fraction metric dicts from kernel outputs.
-
-    ``j=None`` means ``hist``/``sizes`` carry all fractions (fused
-    engine); an integer selects the single group of a naive run.
-    """
+    """Exact per-fraction metric dicts from kernel outputs, group ``g``
+    of ``hist``/``sizes`` holding fraction ``fractions[g]``."""
     out = []
-    for fi, frac in enumerate(fractions):
-        g = fi if j is None else j
+    for g, frac in enumerate(fractions):
         levels = np.arange(hist.shape[0], dtype=np.int64)
         total_hops = int((levels * hist[:, g]).sum())
         nz = np.nonzero(hist[:, g])[0]
@@ -342,8 +343,27 @@ def _fraction_metrics(
 
 
 # ----------------------------------------------------------------------
-# engines
+# trials
 # ----------------------------------------------------------------------
+def validate_fractions(fractions) -> tuple[float, ...]:
+    """``fractions`` as a float tuple, or a ``ValueError`` naming the
+    first bad value. Every entry must be finite, lie in ``[0, 1]`` and
+    exceed its predecessor: the fused kernel's prefix masks assume the
+    order, and a stored point must never be served for a grid the
+    kernel would refuse."""
+    out = tuple(float(f) for f in fractions)
+    if not out:
+        raise ValueError("fractions must be non-empty")
+    for i, f in enumerate(out):
+        if not 0.0 <= f <= 1.0:  # also rejects nan and inf
+            raise ValueError(f"fail fraction {f!r} is not a finite value in [0, 1]")
+        if i and f <= out[i - 1]:
+            raise ValueError(
+                f"fractions must be strictly ascending: {f!r} follows {out[i - 1]!r}"
+            )
+    return out
+
+
 def _incremental_trial(
     topo: Topology,
     tables: tuple[np.ndarray, np.ndarray, np.ndarray],
@@ -357,8 +377,6 @@ def _incremental_trial(
     pad, uv, eidx = tables
     field = link_field(len(uv), seed, trial)
     fr = np.asarray(fractions, dtype=np.float64)
-    if not np.all(np.diff(fr) > 0):
-        raise ValueError("fractions must be strictly ascending")
     # t(e): how many fractions keep edge e alive (field >= f). The
     # eidx sentinel (padded slots) maps past the field to t = F.
     t_of_link = np.concatenate(
@@ -369,83 +387,12 @@ def _incremental_trial(
     return _fraction_metrics(hist, sizes, field, fractions, topo.n, len(uv))
 
 
-def _naive_trial(
-    topo: Topology,
-    tables: tuple[np.ndarray, np.ndarray, np.ndarray],
-    fractions: tuple[float, ...],
-    seed: int,
-    trial: int,
-    block_rows: int,
-    workers: int | None,
-) -> list[dict]:
-    """The baseline the bench gate compares against: per fraction,
-    materialize the :class:`FaultSet`, rebuild the survivor topology
-    and its CSR/neighbor table, and BFS it from scratch."""
-    _pad, uv, _eidx = tables
-    field = link_field(len(uv), seed, trial)
-    out = []
-    for fi, frac in enumerate(fractions):
-        dead = uv[field < frac]
-        faults = FaultSet(
-            dead_links=tuple((int(u), int(v)) for u, v in dead), label="percolation"
-        )
-        survivor = faults.apply(topo)
-        pad_s = padded_neighbors(survivor)
-        hist, sizes = _run_chunks(pad_s, None, topo.n, 1, block_rows, workers)
-        out.extend(
-            _fraction_metrics(
-                hist, sizes, field, (frac,), topo.n, len(uv), j=0
-            )
-        )
-        out[-1]["fraction"] = float(frac)
-    return out
-
-
-def percolation_trial(
-    kind: str,
-    n: int,
-    fractions: tuple[float, ...] = DEFAULT_PERC_FRACTIONS,
-    seed: int = 0,
-    trial: int = 0,
-    topo_seed: int = 0,
-    engine: str = "incremental",
-    block_rows: int | None = None,
-    workers: int | None = None,
-) -> list[dict]:
-    """One trial's per-fraction metric dicts (store-backed, resumable).
-
-    Every (kind, n, topo_seed, seed, trial, fraction) point has its own
-    engine-independent store key: a resumed or re-ordered sweep reuses
-    exactly the points it already computed, and a naive validation run
-    hits the same entries the incremental engine published.
-    """
-    from repro.experiments.sweeps import make_topology
-
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown percolation engine {engine!r}")
-    fractions = tuple(float(f) for f in fractions)
-    keys = [
-        _percolation_key(kind, n, topo_seed, seed, trial, f) for f in fractions
-    ]
-    if store.store_enabled():
-        stored = [store.get(k) for k in keys]
-        if all(v is not None for v in stored):
-            return stored
-    topo = make_topology(kind, n, seed=topo_seed)
-    tables = slot_tables(topo)
-    rows = _block_budget() if block_rows is None else max(1, int(block_rows))
-    run = _incremental_trial if engine == "incremental" else _naive_trial
-    values = run(topo, tables, fractions, seed, trial, rows, workers)
-    if store.store_enabled():
-        for key, value in zip(keys, values):
-            store.put(key, value)
-    return values
-
-
 def _percolation_key(
     kind: str, n: int, topo_seed: int, seed: int, trial: int, fraction: float
 ):
-    """Engine-independent store key of one (trial, fraction) point."""
+    """Store key of one (trial, fraction) point, shared by every
+    consumer: the sweep, single trials, the degradation view and the
+    naive reference."""
     return store.run_key(
         "percolation",
         {
@@ -459,12 +406,78 @@ def _percolation_key(
     )
 
 
+def _stored_trial(
+    kind: str,
+    n: int,
+    topo_seed: int,
+    seed: int,
+    trial: int,
+    fractions: tuple[float, ...],
+    block_rows: int,
+    workers: int | None,
+) -> list[dict]:
+    """One trial's per-fraction rows, store-backed point by point: a
+    trial is served when every requested point is stored, else all of
+    them are recomputed in one fused pass and published. Slot tables
+    come from the sweep's broadcast (``perc.<kind>.*``) when one is
+    active, else are rebuilt locally (single-trial calls)."""
+    from repro.experiments.sweeps import make_topology
+
+    keys = [
+        _percolation_key(kind, n, topo_seed, seed, trial, f) for f in fractions
+    ]
+    if store.store_enabled():
+        stored = [store.get(k) for k in keys]
+        if all(v is not None for v in stored):
+            return stored
+        store.record_misses(sum(v is None for v in stored))
+    topo = make_topology(kind, n, seed=topo_seed)
+    try:
+        tables = tuple(shm.get(f"{_BC_PREFIX}.{kind}.{part}") for part in _TABLE_PARTS)
+    except KeyError:
+        tables = slot_tables(topo)
+    values = _incremental_trial(topo, tables, fractions, seed, trial, block_rows, workers)
+    if store.store_enabled():
+        for key, value in zip(keys, values):
+            store.put(key, value)
+    return values
+
+
+def percolation_trial(
+    kind: str,
+    n: int,
+    fractions: tuple[float, ...] = DEFAULT_PERC_FRACTIONS,
+    seed: int = 0,
+    trial: int = 0,
+    topo_seed: int = 0,
+    block_rows: int | None = None,
+    workers: int | None = None,
+) -> list[dict]:
+    """One trial's per-fraction metric dicts (store-backed, resumable).
+
+    Every (kind, n, topo_seed, seed, trial, fraction) point has its own
+    store key: a resumed or re-ordered sweep reuses exactly the points
+    it already computed.
+    """
+    fractions = validate_fractions(fractions)
+    rows = _block_budget() if block_rows is None else max(1, int(block_rows))
+    return _stored_trial(kind, n, topo_seed, seed, trial, fractions, rows, workers)
+
+
+def _trial_job(args: tuple) -> list[dict]:
+    """One sweep trial ``(kind, n, topo_seed, seed, trial, fractions)``;
+    module-level for pool pickling. The fan-out is over trials, so the
+    inner kernel stays serial."""
+    return _stored_trial(*args, _block_budget(), workers=1)
+
+
 def _naive_point_job(args: tuple) -> dict:
-    """One standalone (trial, fraction) point: the sweep shape this PR
-    replaces. Every job re-derives the link list, materializes the
-    :class:`FaultSet`, rebuilds the survivor topology + CSR + neighbor
-    table and BFSes it from scratch -- per point, which is exactly what
-    the fused engine amortizes away."""
+    """The per-point reference the fused engine is checked against (the
+    tests and the bench's ``percolation_sweep_speedup`` gate). Every
+    call re-derives the link list, materializes the :class:`FaultSet`,
+    rebuilds the survivor topology + CSR + neighbor table and BFSes it
+    from scratch -- per point, which is exactly what the fused engine
+    amortizes away. It reads and writes the same store keys."""
     kind, n, topo_seed, seed, trial, fraction = args
     from repro.experiments.sweeps import make_topology
 
@@ -473,6 +486,7 @@ def _naive_point_job(args: tuple) -> dict:
         stored = store.get(key)
         if stored is not None:
             return stored
+        store.record_misses()
     topo = make_topology(kind, n, seed=topo_seed)
     uv = canonical_links(topo)
     field = link_field(len(uv), seed, trial)
@@ -483,47 +497,10 @@ def _naive_point_job(args: tuple) -> dict:
     survivor = faults.apply(topo)
     pad_s = padded_neighbors(survivor)
     hist, sizes = _run_chunks(pad_s, None, n, 1, _block_budget(), workers=1)
-    value = _fraction_metrics(hist, sizes, field, (fraction,), n, len(uv), j=0)[0]
-    value["fraction"] = float(fraction)
+    value = _fraction_metrics(hist, sizes, field, (fraction,), n, len(uv))[0]
     if store.store_enabled():
         store.put(key, value)
     return value
-
-
-def _trial_job(args: tuple) -> list[dict]:
-    """One sweep trial; module-level for pool pickling. Rebuilds only
-    scalars' worth of state: slot tables ride in as broadcast arrays
-    when the sweep published them (``perc.<kind>.*``), else are rebuilt
-    locally (single-trial calls, cold workers)."""
-    kind, n, topo_seed, seed, trial, fractions, engine = args
-    from repro.experiments.sweeps import make_topology
-
-    fractions = tuple(fractions)
-    keys = [
-        _percolation_key(kind, n, topo_seed, seed, trial, f) for f in fractions
-    ]
-    if store.store_enabled():
-        stored = [store.get(k) for k in keys]
-        if all(v is not None for v in stored):
-            return stored
-    topo = make_topology(kind, n, seed=topo_seed)
-    try:
-        tables = (
-            shm.get(f"{_BC_PREFIX}.{kind}.pad"),
-            shm.get(f"{_BC_PREFIX}.{kind}.uv"),
-            shm.get(f"{_BC_PREFIX}.{kind}.eidx"),
-        )
-    except KeyError:
-        tables = slot_tables(topo)
-    rows = _block_budget()
-    run = _incremental_trial if engine == "incremental" else _naive_trial
-    # The fan-out is over trials: the inner kernel stays serial.
-    values = run(topo, tables, fractions, seed, trial, rows, workers=1)
-    if store.store_enabled():
-        for key, value in zip(keys, values):
-            store.put(key, value)
-    return values
-
 
 # ----------------------------------------------------------------------
 # sweep + artifact
@@ -531,6 +508,11 @@ def _trial_job(args: tuple) -> list[dict]:
 @dataclass(frozen=True)
 class PercolationPoint:
     """Trial-aggregated percolation statistics at one (kind, fraction)."""
+
+    HEADERS: ClassVar[tuple[str, ...]] = (
+        "topology", "fail_frac", "P(connected)", "lcc/n", "components", "reach",
+        "aspl", "diameter", "thr_retention",
+    )
 
     name: str
     kind: str
@@ -612,14 +594,6 @@ def _aggregate(
     return points
 
 
-def default_perc_trials() -> int:
-    """Trials per (kind, fraction): shares ``REPRO_FAULT_TRIALS`` with
-    the degradation sweep (one knob for the whole fault axis)."""
-    from repro.faults.degradation import default_trials
-
-    return default_trials()
-
-
 def percolation_sweep(
     n: int = 1024,
     fractions: tuple[float, ...] = DEFAULT_PERC_FRACTIONS,
@@ -627,52 +601,30 @@ def percolation_sweep(
     seed: int = 0,
     kinds: tuple[str, ...] | None = None,
     workers: int | None = None,
-    engine: str = "incremental",
 ) -> tuple[str, list[PercolationPoint], dict]:
     """Full percolation sweep: kinds x trials, all fractions per pass.
 
     Returns ``(formatted table, aggregated points, raw per-trial
-    dicts)``. With the incremental engine, *trials* fan out through
-    :func:`repro.store.dedup_map` (store-backed, resumable) with each
-    kind's slot tables broadcast once over shared memory, and each job
-    settles every fraction in one fused BFS. With the naive engine,
-    every (trial, fraction) point is its own job rebuilding everything
-    from scratch -- the pre-fused sweep shape, kept as the bench gate's
-    baseline and a byte-identical validator of stored results.
+    dicts)``. Trials fan out through :func:`repro.store.dedup_map`
+    (store-backed, resumable) with each kind's slot tables broadcast
+    once over shared memory, and each job settles every fraction in one
+    fused BFS.
     """
     from repro.experiments.sweeps import PAPER_TRIO, make_topology
 
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown percolation engine {engine!r}")
-    fractions = tuple(float(f) for f in fractions)
-    trials = default_perc_trials() if trials is None else max(1, int(trials))
+    fractions = validate_fractions(fractions)
+    trials = DEFAULT_TRIALS if trials is None else max(1, int(trials))
     kinds = tuple(kinds) if kinds else PAPER_TRIO
     topos = {kind: make_topology(kind, n, seed=seed) for kind in kinds}
-    if engine == "incremental":
-        broadcast = {}
-        for kind, topo in topos.items():
-            pad, uv, eidx = slot_tables(topo)
-            broadcast[f"{_BC_PREFIX}.{kind}.pad"] = pad
-            broadcast[f"{_BC_PREFIX}.{kind}.uv"] = uv
-            broadcast[f"{_BC_PREFIX}.{kind}.eidx"] = eidx
-        jobs = [
-            (kind, n, seed, seed, t, fractions, engine)
-            for kind in kinds
-            for t in range(trials)
-        ]
-        results = store.dedup_map(
-            _trial_job, jobs, workers=workers, broadcast=broadcast
-        )
-    else:
-        point_jobs = [
-            (kind, n, seed, seed, t, f)
-            for kind in kinds
-            for t in range(trials)
-            for f in fractions
-        ]
-        flat = store.dedup_map(_naive_point_job, point_jobs, workers=workers)
-        nf = len(fractions)
-        results = [flat[i : i + nf] for i in range(0, len(flat), nf)]
+    broadcast = {
+        f"{_BC_PREFIX}.{kind}.{part}": table
+        for kind, topo in topos.items()
+        for part, table in zip(_TABLE_PARTS, slot_tables(topo))
+    }
+    jobs = [
+        (kind, n, seed, seed, t, fractions) for kind in kinds for t in range(trials)
+    ]
+    results = store.dedup_map(_trial_job, jobs, workers=workers, broadcast=broadcast)
 
     points: list[PercolationPoint] = []
     raw: dict = {}
@@ -681,21 +633,11 @@ def percolation_sweep(
         points.extend(_aggregate(topos[kind].name, kind, n, fractions, per_trial))
         raw[kind] = per_trial
     table = format_table(
-        [
-            "topology",
-            "fail_frac",
-            "P(connected)",
-            "lcc/n",
-            "components",
-            "reach",
-            "aspl",
-            "diameter",
-            "thr_retention",
-        ],
+        list(PercolationPoint.HEADERS),
         [p.row() for p in points],
         title=(
             f"Percolation sweep at n={n} "
-            f"({trials} coupled trials/kind, {engine} engine)"
+            f"({trials} coupled trials/kind, incremental engine)"
         ),
     )
     return table, points, raw
@@ -709,27 +651,24 @@ def percolation_artifact(
     seed: int = 0,
     kinds: tuple[str, ...] | None = None,
     workers: int | None = None,
-    engine: str = "incremental",
 ) -> tuple[str, list[PercolationPoint]]:
     """Run :func:`percolation_sweep` and write the JSON artifact.
 
     The document is deterministic for fixed inputs (no timestamps) and
-    its ``points``/``raw`` sections are engine-independent, which is
-    what lets CI ``cmp`` two runs under different ``REPRO_SHM`` /
-    worker settings.
+    independent of worker count and ``REPRO_SHM``, which is what lets
+    CI ``cmp`` two runs under different settings.
     """
-    trials = default_perc_trials() if trials is None else max(1, int(trials))
     table, points, raw = percolation_sweep(
         n=n, fractions=fractions, trials=trials, seed=seed,
-        kinds=kinds, workers=workers, engine=engine,
+        kinds=kinds, workers=workers,
     )
     payload = {
         "experiment": "percolation_sweep",
         "n": n,
         "fractions": [float(f) for f in fractions],
-        "trials": trials,
+        "trials": points[0].trials,
         "seed": seed,
-        "engine": engine,
+        "engine": "incremental",
         "kinds": sorted(raw),
         "points": [asdict(p) for p in points],
         "raw": raw,

@@ -52,7 +52,7 @@ KINDS = (
     "dsn", "dsn_e", "dsn_v", "dsn_d", "torus", "torus3d", "mesh", "random",
     "dln", "random_regular", "kleinberg", "ring", "hypercube", "debruijn", "ccc",
 )
-PATTERNS = ("uniform", "bit_reversal", "bit_complement", "transpose", "neighbor")
+PATTERNS = ("uniform", "bit_reversal", "bit_complement", "transpose", "neighboring")
 ROUTINGS = ("adaptive", "updown", "dor", "custom", "minimal_custom")
 ENGINES = ("network", "flit")
 

@@ -47,6 +47,7 @@ from repro.store.runstore import (
     get_or_run,
     migrate_store,
     put,
+    record_misses,
     reset_store_stats,
     store_dir,
     store_enabled,
@@ -75,6 +76,7 @@ __all__ = [
     "migrate_store",
     "put",
     "normalize_engine",
+    "record_misses",
     "reset_store_stats",
     "run_key",
     "schedule_fingerprint",

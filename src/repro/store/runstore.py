@@ -85,6 +85,7 @@ __all__ = [
     "get",
     "fetch",
     "put",
+    "record_misses",
     "get_or_run",
     "cached_sim",
     "cached_value",
@@ -371,10 +372,13 @@ def put(key: RunKey, value, encode: Callable[[object], dict] | None = None) -> N
     _disk_store(key, text)
 
 
-def _count_miss() -> None:
+def record_misses(count: int = 1) -> None:
+    """Count ``count`` lookups that missed and that the caller computes
+    itself (callers pairing :func:`get` / :func:`put` by hand instead
+    of going through :func:`get_or_run`)."""
     with _lock:
-        _stats.misses += 1
-    telemetry.count("store.misses")
+        _stats.misses += count
+    telemetry.count("store.misses", count)
 
 
 def _compute_and_publish(
@@ -397,7 +401,7 @@ def _compute_and_publish(
     """
     d = store_dir()
     if d is None or _shards.fcntl is None:
-        _count_miss()
+        record_misses()
         value = compute()
         put(key, value, encode=encode)
         return value
@@ -410,7 +414,7 @@ def _compute_and_publish(
             telemetry.count("store.lock_waits")
             lock.acquire(blocking=True)
     except OSError:  # unlockable filesystem: fall back to plain compute
-        _count_miss()
+        record_misses()
         value = compute()
         put(key, value, encode=encode)
         return value
@@ -418,7 +422,7 @@ def _compute_and_publish(
         value = get(key, decode=decode)  # leader elsewhere may have published
         if value is not None:
             return value
-        _count_miss()
+        record_misses()
         value = compute()
         put(key, value, encode=encode)
         lock.unlink_then_release()

@@ -311,7 +311,64 @@ class TestDynamicFaults:
         assert empty.packets_dropped == 0
 
 
+def _reference_point(kind, n, fraction, trials, seed):
+    """Degradation point from survivors rebuilt by ``FaultSet.apply`` at
+    the trials' ``link_field`` thresholds, measured by the streaming BFS."""
+    from repro.analysis.blocked import streaming_hop_stats
+    from repro.experiments.sweeps import make_topology
+    from repro.faults import DegradationPoint, link_field
+    from repro.faults.percolation import canonical_links
+
+    topo = make_topology(kind, n, seed=seed)
+    uv = canonical_links(topo)
+    base = streaming_hop_stats(topo)
+    diams, aspls, retention = [], [], []
+    for t in range(trials):
+        field = link_field(len(uv), seed, t)
+        dead = tuple((int(u), int(v)) for u, v in uv[field < fraction])
+        survivor = FaultSet(dead_links=dead).apply(topo)
+        if not survivor.is_connected():
+            continue
+        stats = streaming_hop_stats(survivor)
+        diams.append(stats.diameter)
+        aspls.append(stats.aspl)
+        retention.append(survivor.num_links / topo.num_links * base.aspl / stats.aspl)
+    mean = lambda xs: float(np.mean(xs)) if xs else float("nan")
+    return DegradationPoint(
+        name=topo.name, kind=kind, n=n, fail_fraction=fraction, trials=trials,
+        connected_fraction=len(diams) / trials, mean_diameter=mean(diams),
+        mean_aspl=mean(aspls), throughput_retention=mean(retention),
+    )
+
+
 class TestDegradationExperiment:
+    @pytest.mark.parametrize("fraction", [0.05, 0.25])
+    @pytest.mark.parametrize("kind", ["dsn", "torus"])
+    def test_view_matches_faultset_oracle(self, kind, fraction):
+        # At 25% loss some torus trials disconnect: the view must skip them.
+        pt = degradation_point(kind, 64, fraction, trials=3, seed=0, workers=1)
+        assert pt.connected_fraction > 0
+        assert pt == _reference_point(kind, 64, fraction, trials=3, seed=0)
+
+    def test_default_trials_ignore_environment(self, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_TRIALS", "2")
+        pt = degradation_point("dsn", 32, 0.05, seed=0, workers=1)
+        assert pt.trials == 10
+
+    def test_faults_resume_served_from_percolation_points(self, tmp_path, monkeypatch):
+        from repro import store
+        from repro.faults import degradation_curves, percolation_sweep
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        kw = dict(n=32, trials=2, seed=0, workers=0)
+        percolation_sweep(fractions=(0.0, 0.02, 0.05), **kw)
+        store.clear_store()
+        store.reset_store_stats()
+        degradation_curves(fractions=(0.02, 0.05), **kw)
+        stats = store.store_stats()
+        assert stats.misses == 0 and stats.disk_hits > 0
+
     def test_worker_invariant(self):
         a = degradation_point("dsn", 64, 0.05, trials=3, seed=0, workers=1)
         b = degradation_point("dsn", 64, 0.05, trials=3, seed=0, workers=2)
@@ -334,16 +391,6 @@ class TestDegradationExperiment:
         assert pt.mean_aspl == pytest.approx(m.aspl)
         assert pt.throughput_retention == pytest.approx(1.0)
 
-    def test_trials_env_knob(self, monkeypatch):
-        from repro.faults import default_trials
-
-        monkeypatch.setenv("REPRO_FAULT_TRIALS", "4")
-        assert default_trials() == 4
-        monkeypatch.setenv("REPRO_FAULT_TRIALS", "junk")
-        assert default_trials() == 10
-        monkeypatch.delenv("REPRO_FAULT_TRIALS")
-        assert default_trials() == 10
-
     def test_artifact_roundtrip(self, tmp_path):
         import json
 
@@ -354,6 +401,6 @@ class TestDegradationExperiment:
             out, n=64, fractions=(0.0, 0.05), trials=2, kinds=("dsn",), workers=1
         )
         data = json.loads(out.read_text())
-        assert data["engine"] == "streaming_hop_stats"
+        assert data["engine"] == "percolation"
         assert len(data["points"]) == len(points) == 2
         assert data["points"][1]["fail_fraction"] == 0.05

@@ -1,64 +1,69 @@
-"""Tests for fault injection and bisection estimation."""
+"""Tests for link-failure sweeps and bisection estimation."""
 
 import pytest
 
-from repro.analysis import (
-    bisection_estimate,
-    cut_links,
-    degrade,
-    fault_sweep,
-)
+from repro.analysis import bisection_estimate, cut_links
 from repro.core import DSNTopology
+from repro.faults import FaultSet, degradation_curves, degradation_point, percolation_sweep
 from repro.topologies import RingTopology, Topology, TorusTopology
 
 
 class TestDegrade:
+    """Degrading a topology is applying a :class:`FaultSet` to it."""
+
     def test_removes_exact_links(self):
         t = RingTopology(8)
         dead = [t.links[0], t.links[3]]
-        d = degrade(t, dead)
+        d = FaultSet(dead_links=tuple(l.endpoints() for l in dead)).apply(t)
         assert d.num_links == 6
         for l in dead:
             assert not d.has_link(l.u, l.v)
 
     def test_no_failures_identity(self):
         t = DSNTopology(32)
-        assert degrade(t, []).num_links == t.num_links
+        assert FaultSet().apply(t).num_links == t.num_links
 
 
 class TestFaultSweep:
+    """Link-failure sweeps through the degradation view and the
+    percolation engine it aggregates."""
+
     def test_zero_fraction_matches_baseline(self):
         from repro.analysis import analyze
+        from repro.experiments.sweeps import make_topology
 
-        t = DSNTopology(32)
-        stats = fault_sweep(t, 0.0, trials=2, seed=0)
-        m = analyze(t)
+        stats = degradation_point("dsn", 32, 0.0, trials=2, seed=0)
+        m = analyze(make_topology("dsn", 32, seed=0))
         assert stats.connected_fraction == 1.0
         assert stats.mean_diameter == m.diameter
         assert stats.mean_aspl == pytest.approx(m.aspl)
 
     def test_metrics_degrade_with_failures(self):
-        t = DSNTopology(64)
-        base = fault_sweep(t, 0.0, trials=1, seed=0)
-        hurt = fault_sweep(t, 0.10, trials=10, seed=0)
-        if hurt.connected_fraction > 0:
-            assert hurt.mean_aspl >= base.mean_aspl
+        _, (base, hurt) = degradation_curves(
+            n=64, fractions=(0.0, 0.10), trials=10, seed=0, kinds=("dsn",)
+        )
+        assert hurt.connected_fraction > 0
+        assert hurt.mean_aspl >= base.mean_aspl
 
     def test_ring_disconnects_easily(self):
         """Two failed links disconnect a ring: P(connected) must be low."""
-        r = RingTopology(32)
-        stats = fault_sweep(r, 0.08, trials=20, seed=1)  # ~2-3 failures
-        assert stats.connected_fraction < 0.5
+        _, points, _ = percolation_sweep(
+            n=32, fractions=(0.08,), trials=20, seed=1, kinds=("ring",)
+        )
+        assert points[0].connected_fraction < 0.5
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            fault_sweep(DSNTopology(32), 1.0)
+        for bad in (1.5, -0.01, float("nan")):
+            with pytest.raises(ValueError, match="fraction"):
+                degradation_point("dsn", 32, bad)
 
     def test_row_format_with_disconnection(self):
-        r = RingTopology(16)
-        stats = fault_sweep(r, 0.3, trials=5, seed=0)
+        stats = degradation_point("ring", 16, 0.3, trials=5, seed=0)
+        assert stats.connected_fraction < 1.0
         row = stats.row()
-        assert len(row) == 5
+        assert len(row) == 6
+        if stats.connected_fraction == 0:
+            assert row[3:] == ["-", "-", "-"]
 
 
 class TestBisection:

@@ -3,9 +3,9 @@
 The engine's contract: coupled monotone fault sampling (fault sets
 nest across fractions within a trial), and *exact* metrics that are
 byte-identical between the fused multi-fraction engine and the naive
-per-point baseline -- for every block size, worker count and
-``REPRO_SHM`` setting -- with every (trial, fraction) point store-backed
-under engine-independent keys.
+per-point reference (``_naive_point_job``) -- for every block size,
+worker count and ``REPRO_SHM`` setting -- with every (trial, fraction)
+point store-backed under keys both share.
 """
 
 import json
@@ -17,6 +17,8 @@ import pytest
 from repro import store
 from repro.faults.percolation import (
     DEFAULT_PERC_FRACTIONS,
+    DEFAULT_TRIALS,
+    _naive_point_job,
     canonical_links,
     link_field,
     percolation_artifact,
@@ -35,13 +37,23 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     monkeypatch.delenv("REPRO_SHM", raising=False)
     monkeypatch.delenv("REPRO_BFS_BLOCK", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_TRIALS", raising=False)
     monkeypatch.setenv("REPRO_STORE", "off")
     store_shards_mod.invalidate_layout_cache()
     store.clear_store()
     yield
     shutdown_pool()
     store.clear_store()
+
+
+def _naive_raw(n, fractions, trials, seed, kinds):
+    """A sweep's raw per-trial rows, one naive reference job per point."""
+    return {
+        kind: [
+            [_naive_point_job((kind, n, seed, seed, t, f)) for f in fractions]
+            for t in range(trials)
+        ]
+        for kind in kinds
+    }
 
 
 def _reference_metrics(topo, fraction, seed, trial):
@@ -120,9 +132,7 @@ class TestEngineExactness:
     @pytest.mark.parametrize("kind", ["dsn", "random", "torus"])
     def test_incremental_matches_naive(self, kind):
         inc = percolation_trial(kind, 64, FRACTIONS, seed=0, trial=1)
-        naive = percolation_trial(
-            kind, 64, FRACTIONS, seed=0, trial=1, engine="naive"
-        )
+        naive = [_naive_point_job((kind, 64, 0, 0, 1, f)) for f in FRACTIONS]
         assert inc == naive
 
     def test_matches_python_reference_including_disconnection(self):
@@ -159,9 +169,15 @@ class TestEngineExactness:
         with pytest.raises(ValueError, match="ascending"):
             percolation_trial("dsn", 32, (0.1, 0.05), seed=0, trial=0)
 
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            percolation_trial("dsn", 32, FRACTIONS, engine="magic")
+    @pytest.mark.parametrize(
+        "bad", [(), (0.0, 1.5), (-0.1, 0.2), (0.0, float("nan")), (0.0, float("inf")),
+                (0.05, 0.05)]
+    )
+    def test_bad_fractions_rejected_everywhere(self, bad):
+        with pytest.raises(ValueError, match="fraction"):
+            percolation_trial("dsn", 32, bad, seed=0, trial=0)
+        with pytest.raises(ValueError, match="fraction"):
+            percolation_sweep(n=32, fractions=bad, trials=1, kinds=("dsn",))
 
 
 class TestSweepInvariance:
@@ -177,17 +193,14 @@ class TestSweepInvariance:
     def test_engines_agree_at_sweep_level(self):
         kw = dict(n=64, fractions=FRACTIONS, trials=2, seed=0,
                   kinds=("dsn", "random"), workers=0)
-        _, pts_inc, raw_inc = percolation_sweep(engine="incremental", **kw)
-        _, pts_naive, raw_naive = percolation_sweep(engine="naive", **kw)
-        assert raw_inc == raw_naive
-        assert pts_inc == pts_naive
+        _, _, raw_inc = percolation_sweep(**kw)
+        assert raw_inc == _naive_raw(64, FRACTIONS, 2, 0, ("dsn", "random"))
 
-    def test_trials_env_knob(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FAULT_TRIALS", "3")
+    def test_default_trials(self):
         _, points, _ = percolation_sweep(
-            n=32, fractions=FRACTIONS, kinds=("dsn",), workers=0
+            n=32, fractions=(0.0, 0.1), kinds=("dsn",), workers=0
         )
-        assert all(p.trials == 3 for p in points)
+        assert all(p.trials == DEFAULT_TRIALS == 10 for p in points)
 
     def test_aggregate_is_sane(self):
         _, points, _ = percolation_sweep(
@@ -220,14 +233,25 @@ class TestStoreResume:
         )
         assert store.store_stats().misses == 0  # fully store-served
 
-        # The naive engine hits the same engine-independent keys.
+        # The naive reference hits the same keys.
         store.clear_store()
         store.reset_store_stats()
-        _, _, naive = percolation_sweep(engine="naive", **kw)
+        naive = _naive_raw(32, FRACTIONS, 2, 0, ("dsn",))
         assert json.dumps(first, sort_keys=True) == json.dumps(
             naive, sort_keys=True
         )
         assert store.store_stats().misses == 0
+
+    def test_warm_store_still_validates_fractions(self, tmp_path, monkeypatch):
+        """A stored (0.0, 0.05) sweep must not serve the reversed grid."""
+        monkeypatch.delenv("REPRO_STORE", raising=False)
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        kw = dict(n=32, trials=2, seed=0, kinds=("dsn",), workers=0)
+        percolation_sweep(fractions=(0.0, 0.05), **kw)
+        with pytest.raises(ValueError, match="ascending"):
+            percolation_sweep(fractions=(0.05, 0.0), **kw)
+        with pytest.raises(ValueError, match="ascending"):
+            percolation_trial("dsn", 32, (0.05, 0.0), seed=0, trial=0)
 
     def test_single_trial_points_are_keyed_individually(
         self, tmp_path, monkeypatch
@@ -251,10 +275,11 @@ class TestArtifactAndCli:
         percolation_artifact(p1, **kw)
         percolation_artifact(p2, **kw)
         assert p1.read_bytes() == p2.read_bytes()
-        percolation_artifact(p3, engine="naive", **kw)
-        d1, d3 = json.loads(p1.read_text()), json.loads(p3.read_text())
-        assert d1["points"] == d3["points"]
-        assert d1["raw"] == d3["raw"]
+        percolation_artifact(p3, **{**kw, "workers": 2})
+        assert p1.read_bytes() == p3.read_bytes()
+        d1 = json.loads(p1.read_text())
+        assert d1["engine"] == "incremental"
+        assert d1["raw"] == _naive_raw(32, FRACTIONS, 2, 0, ("dsn",))
 
     def test_cli_percolation(self, tmp_path, capsys):
         from repro.cli import main
@@ -277,9 +302,22 @@ class TestArtifactAndCli:
 
         args = build_parser().parse_args(["percolation"])
         assert args.fractions is None  # handler falls back to the default
-        assert args.engine == "incremental"
+        assert not hasattr(args, "engine")
         parsed = build_parser().parse_args(
             ["percolation", "--fractions", "0.0,0.2"]
         )
         assert parsed.fractions == (0.0, 0.2)
         assert DEFAULT_PERC_FRACTIONS[0] == 0.0
+
+    @pytest.mark.parametrize("command", ["percolation", "faults"])
+    @pytest.mark.parametrize(
+        "text, named", [("0,1.5", "1.5"), ("0.05,0.0", "0.0"), ("0,x", "'x'")]
+    )
+    def test_cli_rejects_bad_fractions(self, command, text, named, capsys):
+        from repro.cli import build_parser
+
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([command, "--fractions", text])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--fractions" in err and named in err

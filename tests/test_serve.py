@@ -79,6 +79,13 @@ class TestQueryModel:
             with pytest.raises(handlers.QueryError):
                 handlers.parse_query(path, params)
 
+    def test_every_pattern_builds(self):
+        """Each accepted pattern name is one the traffic layer knows."""
+        from repro.traffic import make_pattern
+
+        for name in handlers.PATTERNS:
+            assert make_pattern(name, 64).num_hosts == 64
+
     def test_latency_key_matches_experiment_driver(self):
         """The daemon must share store entries with ``run_curve``."""
         from repro.experiments.latency import _sim_topology
@@ -106,6 +113,15 @@ class TestQueryModel:
 
 
 class TestDaemon:
+    def test_neighboring_pattern_served(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        path = LAT_PATH.replace("pattern=uniform", "pattern=neighboring")
+        with ServerThread(ServeConfig(port=0)) as srv:
+            status, _, body = _get(srv.url + path)
+            assert status == 200 and body["source"] == "computed"
+            status, _, body = _get(srv.url + path.replace("neighboring", "neighbor"))
+            assert status == 400 and "neighbor" in body["error"]
+
     def test_endpoints_and_sources(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         direct = handlers.compute_job(_path_job(TOPO_PATH))

@@ -541,7 +541,8 @@ class TestExperimentWiring:
         store.clear_store()
         store.reset_store_stats()
         b = degradation_point("dsn", 64, 0.05, trials=2, seed=0, workers=1)
-        assert store.store_stats().disk_hits == 2
+        # 2 trials x (the 0.05 point + its internal 0.0 baseline)
+        assert store.store_stats().disk_hits == 4
         assert a == b
 
     def test_fault_table_store_backed(self):
@@ -549,7 +550,7 @@ class TestExperimentWiring:
 
         table_a, stats_a = fault_table(n=64, fractions=(0.05,), trials=2, seed=0)
         misses = store.store_stats().misses
-        assert misses == 3  # one per trio topology
+        assert misses == 12  # 3 trio kinds x 2 trials x (0.05 + 0.0 baseline)
         table_b, stats_b = fault_table(n=64, fractions=(0.05,), trials=2, seed=0)
         assert store.store_stats().misses == misses
         assert table_a == table_b and stats_a == stats_b
