@@ -133,13 +133,12 @@ def build_parser() -> argparse.ArgumentParser:
     f10.add_argument("--engine", default="network", choices=["network", "flit"],
                      dest="sim_engine",
                      help="simulator: packet-level 'network' (default) or the "
-                          "flit-level credit/crossbar model (run loop via "
-                          "REPRO_FLIT_ENGINE)")
+                          "flit-level credit/crossbar model (event-driven run "
+                          "loop for either router model)")
     f10.add_argument("--router", default=None, choices=["ideal", "pipelined"],
                      help="flit-engine router model: lumped-delay 'ideal' "
-                          "(default, REPRO_ROUTER) or the staged RC/VA/SA/ST "
-                          "'pipelined' microarchitecture; 'pipelined' implies "
-                          "--engine flit")
+                          "(default) or the staged RC/VA/SA/ST 'pipelined' "
+                          "microarchitecture; 'pipelined' implies --engine flit")
 
     rs = sub.add_parser(
         "router-sweep",

@@ -123,9 +123,9 @@ def _curve_point(args: tuple) -> SimResult:
 
     ``args`` is ``(kind, pattern, load, n, cfg, seed, routing)`` plus an
     optional trailing ``sim_engine``: ``"network"`` (packet-level,
-    default) or ``"flit"`` (flit-level; the run loop comes from
-    ``REPRO_FLIT_ENGINE`` and never affects the store key -- both loops
-    are bit-identical and share entries)."""
+    default) or ``"flit"`` (flit-level, on its event-driven run loop;
+    the cycle-scan reference is bit-identical, so the loop never
+    affects the store key)."""
     kind, pattern_name, load, n, cfg, seed, routing = args[:7]
     sim_engine = args[7] if len(args) > 7 else "network"
     topo = _sim_topology(kind, n, seed, routing)
@@ -172,9 +172,9 @@ def run_curve(
     """Simulate one topology kind under one pattern across loads.
 
     ``sim_engine`` picks the simulator: ``"network"`` (packet-level,
-    default) or ``"flit"`` (flit-level credit/crossbar model; its run
-    loop follows ``REPRO_FLIT_ENGINE``). ``routing`` selects the
-    scheme:
+    default) or ``"flit"`` (flit-level credit/crossbar model on the
+    event-driven run loop, for either router model in
+    ``config.router``). ``routing`` selects the scheme:
 
     * ``"adaptive"`` -- minimal-adaptive + up*/down* escape (the paper's
       Section VII configuration, default);

@@ -39,7 +39,8 @@ def make_topology(kind: str, n: int, seed: int = 0, **kwargs) -> Topology:
     """Build a topology by kind name.
 
     Kinds: ``dsn``, ``dsn_e``, ``dsn_v``, ``dsn_d``, ``torus``,
-    ``torus3d``, ``mesh``, ``random`` (DLN-2-2), ``dln``,
+    ``torus3d``, ``mesh``, ``random`` (DLN-2-2), ``dln`` (DLN-x,
+    ``x`` defaults to ``ceil(log2 n)``),
     ``random_regular``, ``kleinberg``, ``ring``, ``hypercube``,
     ``debruijn``, ``ccc``.
 
@@ -78,7 +79,8 @@ def _build_topology(kind: str, n: int, seed: int, **kwargs) -> Topology:
     if kind == "random":
         return DLNRandomTopology(n, 2, 2, seed=seed)
     if kind == "dln":
-        return DLNTopology(n, **kwargs)
+        # Default x: DLN-log n, the Section IV-A baseline (DLN-10 at n=1024).
+        return DLNTopology(n, kwargs.get("x", max(2, (n - 1).bit_length())))
     if kind == "random_regular":
         return RandomRegularTopology(n, kwargs.get("degree", 4), seed=seed)
     if kind == "kleinberg":

@@ -14,7 +14,6 @@ Defaults reproduce the paper's setup exactly:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from repro.sim.router.config import ROUTER_MODES, RouterConfig, resolve_router
@@ -31,20 +30,18 @@ __all__ = [
 
 #: Run-loop implementations of the flit-level simulator. Both produce
 #: bit-identical results (the contract tests/test_sim_flit.py pins);
-#: ``event`` visits only cycles that can change state, ``cycle`` is the
-#: linear reference scan.
+#: ``event`` visits only cycles that can change state and runs every
+#: production simulation, ``cycle`` is the linear reference scan the
+#: equivalence tests diff against.
 FLIT_ENGINES = ("event", "cycle")
 
 
 def resolve_flit_engine(engine: str | None = None) -> str:
-    """The flit run-loop to use: explicit argument, else the
-    ``REPRO_FLIT_ENGINE`` environment variable, else ``event``."""
-    eng = engine if engine is not None else os.environ.get("REPRO_FLIT_ENGINE", "event")
-    eng = eng.strip().lower()
+    """The flit run-loop to use: the explicit argument, else ``event``
+    (the only production loop; ``cycle`` is the reference oracle)."""
+    eng = "event" if engine is None else engine.strip().lower()
     if eng not in FLIT_ENGINES:
-        raise ValueError(
-            f"unknown flit engine {eng!r} (REPRO_FLIT_ENGINE): expected one of {FLIT_ENGINES}"
-        )
+        raise ValueError(f"unknown flit engine {eng!r}: expected one of {FLIT_ENGINES}")
     return eng
 
 
@@ -66,7 +63,7 @@ class SimConfig:
     #: Router model of the flit engine (``ideal`` keeps the lumped
     #: ``router_delay_ns`` pipeline above; ``pipelined`` switches to the
     #: staged RC/VA/SA/ST microarchitecture -- see repro.sim.router).
-    #: The default resolves ``REPRO_ROUTER`` at construction time.
+    #: The default is the ideal router.
     router: RouterConfig = field(default_factory=RouterConfig)
 
     def __post_init__(self) -> None:

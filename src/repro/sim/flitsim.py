@@ -1,6 +1,6 @@
-"""Flit-level simulator with two run-loop engines: an event-driven
-core (default) and the linear cycle scan it replaced (kept as the
-bit-identical reference).
+"""Flit-level simulator with one production run loop, the event-driven
+core, and the linear cycle scan it replaced (kept as the bit-identical
+reference oracle).
 
 While :mod:`repro.sim.network` schedules whole-packet transfers (exact
 for virtual cut-through with one-packet buffers), this simulator
@@ -16,7 +16,7 @@ modeling:
   with round-robin switch allocation among competing inputs;
 * a router pipeline of ``ceil(router_delay / flit_time)`` cycles per
   header and link pipelines of ``ceil(link_delay / flit_time)`` cycles
-  -- or, in pipelined-router mode (``REPRO_ROUTER=pipelined`` / a
+  -- or, in pipelined-router mode (a pipelined
   :class:`~repro.sim.router.RouterConfig` on the config), explicit
   RC/VA/SA/ST stages with least-recently-granted arbitration and
   per-VC input buffers (see :mod:`repro.sim.router`).
@@ -35,9 +35,9 @@ dict-of-tuples structures. Round-robin crossbar arbitration semantics
 are unchanged: one flit per output resource per cycle, pointer
 advanced past the granted requester.
 
-**Engines** (``engine=`` / ``REPRO_FLIT_ENGINE``): the ``cycle``
-engine runs the linear ``while cycle < horizon`` scan, executing every
-phase every cycle. The ``event`` engine (default) produces
+**Engines** (``engine=``): the ``cycle`` engine runs the linear
+``while cycle < horizon`` scan, executing every phase every cycle. The
+``event`` engine (default, and the only production loop) produces
 byte-identical :class:`~repro.sim.metrics.SimResult`\\ s while visiting
 only cycles that can change state: host arrivals, credit returns,
 router-pipeline completions, fault activations, telemetry samples and
@@ -47,9 +47,13 @@ order at each wake, and the stretches between wakes -- where only
 ACTIVE units stream payload flits -- run through a send-only burst
 loop that proves an uncontended request set stable over a window and
 moves it as one batch (see :meth:`FlitLevelSimulator._burst`). Cost
-therefore scales with traffic, not simulated cycles; the cycle engine
-remains the reference the equivalence tests and the CI smoke step
-diff against. See ``docs/performance.md``.
+therefore scales with traffic, not simulated cycles. The pipelined
+router runs on the same loop: its VA/SA stages act every cycle, so the
+loop full-ticks every cycle while any unit is busy and jumps only
+across an idle network (bursts stay ideal-router only). The cycle
+engine remains the reference oracle the equivalence tests, the CI
+smoke step and the ``event_engine_speedup`` bench gate diff against
+(``engine="cycle"``). See ``docs/performance.md``.
 
 **Dynamic fault injection** (``fault_schedule=``): links can die
 mid-run. At each fault instant the engine discards every flit sitting
@@ -992,14 +996,7 @@ class FlitLevelSimulator:
         self._arr_min_ns = float(np.min(self._next_arrival))
         self._arr_cycle = None
 
-        if self._router is not None:
-            # The staged router arbitrates VA/SA every cycle, so the
-            # event engine's send-only burst windows (which assume the
-            # ideal model's greedy allocation) do not apply: both
-            # engine spellings run the linear scan, trivially
-            # byte-identical.
-            self._run_cycle(horizon)
-        elif self.engine == "event":
+        if self.engine == "event":
             self._run_event(horizon)
         else:
             self._run_cycle(horizon)
@@ -1072,14 +1069,17 @@ class FlitLevelSimulator:
           multiple-of-512 termination probe. While any unit waits for a
           VC the loop ticks every cycle -- a failed allocation re-runs
           the adapter (and its RNG draws) per cycle, which must be
-          reproduced exactly.
-        * **send bursts** (:meth:`_burst`) cover the windows between
-          full ticks, where provably the only possible state changes
-          are credit returns and ACTIVE units moving flits -- the route
-          /inject/generate phases are no-ops there by the scheduling
-          argument above, so the burst runs only the credit and
-          switch-allocation work of each cycle, skipping cycles where
-          no flit is usable.
+          reproduced exactly. In pipelined-router mode it ticks every
+          cycle while any unit is busy (the staged VA/SA arbiters act
+          every cycle), the same condition the cycle scan's
+          fast-forward uses.
+        * **send bursts** (:meth:`_burst`, ideal router only) cover
+          the windows between full ticks, where provably the only
+          possible state changes are credit returns and ACTIVE units
+          moving flits -- the route/inject/generate phases are no-ops
+          there by the scheduling argument above, so the burst runs
+          only the credit and switch-allocation work of each cycle,
+          skipping cycles where no flit is usable.
         """
         wakes = CycleEventQueue()
         self._wakes = wakes
@@ -1088,6 +1088,7 @@ class FlitLevelSimulator:
 
         measure_end = self._measure_end
         result = self._result
+        pipelined = self._router is not None
         cycle = 0
         while cycle < horizon:
             # ---- one full tick: phase order identical to _run_cycle --
@@ -1119,7 +1120,7 @@ class FlitLevelSimulator:
                 break
 
             # ---- schedule the next full tick -------------------------
-            if self._pending_hosts or waiting:
+            if self._pending_hosts or waiting or (pipelined and self._busy):
                 cycle += 1
                 continue
             stop = self._next_full_tick(cycle, wakes, horizon)

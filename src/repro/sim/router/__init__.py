@@ -1,7 +1,7 @@
 """Pipelined multi-VC router microarchitecture for the flit engine.
 
-An opt-in router model (``REPRO_ROUTER=pipelined`` or an explicit
-:class:`RouterConfig` on :class:`~repro.sim.config.SimConfig`) with
+An opt-in router model (``RouterConfig(mode="pipelined")`` on
+:class:`~repro.sim.config.SimConfig`, or ``fig10 --router pipelined``) with
 RC/VA/SA/ST stages, per-input-port VC buffers, deterministic LRG
 arbitration and credit-based VC flow control -- the MockSim-style
 microarchitecture of SNIPPETS.md snippets 2-3, driven against DSN-V's

@@ -15,10 +15,10 @@ The flit engine has two router models:
   (:class:`repro.sim.router.pipeline.PipelinedRouter`).
 
 The mode comes from an explicit :class:`RouterConfig` on
-:class:`~repro.sim.config.SimConfig`, else the ``REPRO_ROUTER``
-environment variable, else ``ideal``. Unknown spellings raise a
-:class:`ValueError` naming the accepted values (the same contract as
-:func:`~repro.sim.config.resolve_flit_engine`).
+:class:`~repro.sim.config.SimConfig`, else ``ideal``. Unknown spellings
+raise a :class:`ValueError` naming the accepted values (the same
+contract as :func:`~repro.sim.config.resolve_flit_engine`). Both models
+run on the flit engine's event-driven loop.
 
 **Timing model.** A pipelined router adds a per-router header lag of
 ``rc + va + (sa - 1) + (st - 1)`` cycles (:attr:`RouterConfig.
@@ -37,7 +37,6 @@ cross-validation smoke pin (see docs/performance.md).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 from repro.util import check_positive
@@ -52,14 +51,10 @@ ROUTER_MODES = ("ideal", "pipelined")
 
 
 def resolve_router(mode: str | None = None) -> str:
-    """The router model to use: explicit argument, else the
-    ``REPRO_ROUTER`` environment variable, else ``ideal``."""
-    m = mode if mode is not None else os.environ.get("REPRO_ROUTER", "ideal")
-    m = m.strip().lower()
+    """The router model to use: the explicit argument, else ``ideal``."""
+    m = "ideal" if mode is None else mode.strip().lower()
     if m not in ROUTER_MODES:
-        raise ValueError(
-            f"unknown router mode {m!r} (REPRO_ROUTER): expected one of {ROUTER_MODES}"
-        )
+        raise ValueError(f"unknown router mode {m!r}: expected one of {ROUTER_MODES}")
     return m
 
 
@@ -67,9 +62,8 @@ def resolve_router(mode: str | None = None) -> str:
 class RouterConfig:
     """Microarchitecture of one router (every switch is identical).
 
-    ``mode=None`` resolves through :func:`resolve_router` (explicit >
-    ``REPRO_ROUTER`` > ``ideal``) at construction time, so the resolved
-    spelling -- never the environment -- is what reaches store keys.
+    ``mode=None`` means ``ideal``; the resolved spelling is what
+    reaches store keys.
 
     The stage depths and ``vc_buffer_flits`` only apply in
     ``pipelined`` mode; the ideal model keeps the lumped

@@ -103,7 +103,7 @@ def schedule_fingerprint(schedule) -> list | None:
 def normalize_engine(engine: str) -> str:
     """Collapse engine spellings that are bit-identical by contract.
 
-    The flit simulator's run loops (``REPRO_FLIT_ENGINE=event|cycle``)
+    The flit simulator's run loops (``engine="event"|"cycle"``)
     produce byte-identical results -- the contract
     ``tests/test_sim_flit.py`` pins -- so the run loop must never reach
     a key: ``"flit"``, ``"flit:event"``, ``"flit:cycle"`` (any

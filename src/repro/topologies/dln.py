@@ -42,7 +42,7 @@ def random_regular_links(
     y: int,
     rng: np.random.Generator,
     forbidden: set[tuple[int, int]] | None = None,
-    max_attempts: int = 50,
+    max_attempts: int = 500,
 ) -> list[Link]:
     """``y`` random link endpoints per node: a random y-regular graph.
 

@@ -49,6 +49,11 @@ class TestDLNRandom:
         t = DLNRandomTopology(32, 2, 2, seed=seed)
         assert t.degree_census() == {4: 32}
 
+    def test_rare_rejection_seed_builds(self):
+        """Seed 171 needs more than 50 resamples at n=32; extra attempts
+        leave every other seed's links unchanged (same RNG prefix)."""
+        assert DLNRandomTopology(32, 2, 2, seed=171).degree_census() == {4: 32}
+
     def test_seed_reproducible(self):
         a = DLNRandomTopology(64, seed=42)
         b = DLNRandomTopology(64, seed=42)

@@ -43,6 +43,21 @@ def build(topo_kind: str, adapter_kind: str, seed: int):
     return topo, adapter
 
 
+PIPELINED_ADAPTERS = ["custom", "minimal_custom", "adaptive", "updown"]
+
+
+def build_pipelined(adapter_kind: str, seed: int):
+    """A DSN-V source-routed (``custom``) or :func:`build` DSN network
+    for the pipelined-router fuzz arms."""
+    if adapter_kind != "custom":
+        return build("dsn", adapter_kind, seed)
+    from repro.core.extensions import dsn_route_extended
+    from repro.sim import dsn_custom_adapter
+
+    topo = DSNVTopology(16)
+    return topo, dsn_custom_adapter(lambda s, t: dsn_route_extended(topo, s, t))
+
+
 class TestFuzzDelivery:
     @settings(max_examples=12, deadline=None)
     @given(
@@ -83,7 +98,7 @@ class TestFuzzPipelinedRouter:
 
     @settings(max_examples=10, deadline=None)
     @given(
-        adapter_kind=st.sampled_from(["custom", "minimal_custom", "adaptive", "updown"]),
+        adapter_kind=st.sampled_from(PIPELINED_ADAPTERS),
         pattern=st.sampled_from(PATTERNS),
         load=st.floats(min_value=0.5, max_value=6.0),
         lag=st.integers(min_value=2, max_value=12),
@@ -95,14 +110,9 @@ class TestFuzzPipelinedRouter:
     ):
         import dataclasses
 
-        from repro.core.extensions import dsn_route_extended
-        from repro.sim import FlitLevelSimulator, RouterConfig, dsn_custom_adapter
+        from repro.sim import FlitLevelSimulator, RouterConfig
 
-        if adapter_kind == "custom":
-            topo = DSNVTopology(16)
-            adapter = dsn_custom_adapter(lambda s, t: dsn_route_extended(topo, s, t))
-        else:
-            topo, adapter = build("dsn", adapter_kind, seed)
+        topo, adapter = build_pipelined(adapter_kind, seed)
         cfg = SimConfig(
             warmup_ns=1500,
             measure_ns=4000,
@@ -148,3 +158,34 @@ class TestFuzzEngineEquivalence:
             sim = FlitLevelSimulator(topo, adapter, pat, load, cfg, engine=engine)
             results.append(dataclasses.asdict(sim.run()))
         assert results[0] == results[1], (topo_kind, adapter_kind, pattern, load)
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        adapter_kind=st.sampled_from(PIPELINED_ADAPTERS),
+        pattern=st.sampled_from(PATTERNS),
+        load=st.floats(min_value=0.05, max_value=8.0),
+        lag=st.integers(min_value=2, max_value=44),
+        buf=st.sampled_from([4, 8, 33, None]),
+        seed=st.integers(min_value=0, max_value=1000),
+    )
+    def test_pipelined_engines_bit_identical(self, adapter_kind, pattern, load, lag, buf, seed):
+        """The pipelined router runs on the event loop by default; the
+        cycle scan stays its reference."""
+        import dataclasses
+
+        from repro.sim import FlitLevelSimulator, RouterConfig
+
+        cfg = SimConfig(
+            warmup_ns=1000,
+            measure_ns=2500,
+            drain_ns=40000,
+            seed=seed,
+            router=RouterConfig.with_depth(lag, vc_buffer_flits=buf),
+        )
+        results = []
+        for engine in ("cycle", None):
+            topo, adapter = build_pipelined(adapter_kind, seed)
+            pat = make_pattern(pattern, topo.n * cfg.hosts_per_switch)
+            sim = FlitLevelSimulator(topo, adapter, pat, load, cfg, engine=engine)
+            results.append(dataclasses.asdict(sim.run()))
+        assert results[0] == results[1], (adapter_kind, pattern, load, lag, buf)

@@ -2,9 +2,9 @@
 
 Pins the subsystem's contracts:
 
-* resolver errors name the accepted values (``REPRO_ROUTER``, and the
-  same contract on ``REPRO_FLIT_ENGINE``);
-* RouterConfig validation, depth accounting and env resolution;
+* resolver errors name the accepted values (router modes, and the
+  same contract on flit engines); no environment variable picks either;
+* RouterConfig validation and depth accounting;
 * deterministic LRG arbitration (starvation-freedom, canonical
   tie-break, per-resource independence);
 * zero-load timing: a lag-matched pipelined run is byte-identical to
@@ -62,46 +62,57 @@ def _run(rcfg, load=0.1, num_vcs=4, drain=None, topo=None):
 # resolvers (satellite: clear errors naming the accepted values)
 # ----------------------------------------------------------------------
 class TestResolvers:
+    """Only explicit arguments choose the router model or the flit run
+    loop; the retired ``REPRO_ROUTER`` / ``REPRO_FLIT_ENGINE``
+    variables are ignored."""
+
     def test_router_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ROUTER", "pipelined")
         assert resolve_router("ideal") == "ideal"
+        assert resolve_router(" Pipelined ") == "pipelined"
 
     def test_router_env_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_ROUTER", raising=False)
         assert resolve_router() == "ideal"
-        monkeypatch.setenv("REPRO_ROUTER", " Pipelined ")
-        assert resolve_router() == "pipelined"
+        monkeypatch.setenv("REPRO_ROUTER", "pipelined")
+        assert resolve_router() == "ideal"
+        assert RouterConfig().mode == "ideal"
 
     def test_router_unknown_names_accepted_values(self):
         with pytest.raises(ValueError) as exc:
-            resolve_router("warp")
+            RouterConfig(mode="warp")
         msg = str(exc.value)
-        assert "warp" in msg and "REPRO_ROUTER" in msg
+        assert "warp" in msg
         for mode in ROUTER_MODES:
             assert mode in msg
 
     def test_router_unknown_env_value(self, monkeypatch):
+        """An unknown value in the retired variable is ignored, not
+        validated: the default stays ``ideal``."""
         monkeypatch.setenv("REPRO_ROUTER", "bogus")
-        with pytest.raises(ValueError, match="bogus"):
-            resolve_router()
+        assert resolve_router() == "ideal"
 
     def test_flit_engine_unknown_names_accepted_values(self):
         with pytest.raises(ValueError) as exc:
             resolve_flit_engine("quantum")
         msg = str(exc.value)
-        assert "quantum" in msg and "REPRO_FLIT_ENGINE" in msg
+        assert "quantum" in msg
         assert "event" in msg and "cycle" in msg
 
     def test_flit_engine_unknown_env_value(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLIT_ENGINE", "warp")
-        with pytest.raises(ValueError, match="warp"):
-            resolve_flit_engine()
+        assert resolve_flit_engine() == "event"
 
-    def test_simconfig_resolves_env(self, monkeypatch):
+    def test_simconfig_ignores_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ROUTER", "pipelined")
-        assert SimConfig().router.pipelined
-        monkeypatch.delenv("REPRO_ROUTER")
         assert not SimConfig().router.pipelined
+        assert SimConfig().router == SimConfig(router=RouterConfig(mode="ideal")).router
+
+    def test_env_leaves_run_loop_and_results_unchanged(self, monkeypatch):
+        base = dataclasses.asdict(_run(RouterConfig()))
+        monkeypatch.setenv("REPRO_ROUTER", "pipelined")
+        monkeypatch.setenv("REPRO_FLIT_ENGINE", "cycle")
+        assert dataclasses.asdict(_run(RouterConfig())) == base
 
 
 # ----------------------------------------------------------------------

@@ -86,6 +86,22 @@ class TestQueryModel:
         for name in handlers.PATTERNS:
             assert make_pattern(name, 64).num_hosts == 64
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_every_kind_builds(self, n):
+        """Each accepted kind name builds through the topology factory
+        with no extra arguments (``dln`` defaults to DLN-log n)."""
+        from repro.experiments.sweeps import make_topology
+
+        for kind in handlers.KINDS:
+            assert make_topology(kind, n).n > 0, kind
+
+    def test_dln_defaults_to_log_n(self):
+        from repro.experiments.sweeps import make_topology
+
+        assert make_topology("dln", 1024).name == "DLN-10-1024"
+        assert make_topology("dln", 16).name == "DLN-4-16"
+        assert make_topology("dln", 16, x=3).name == "DLN-3-16"
+
     def test_latency_key_matches_experiment_driver(self):
         """The daemon must share store entries with ``run_curve``."""
         from repro.experiments.latency import _sim_topology

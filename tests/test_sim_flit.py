@@ -249,6 +249,46 @@ class TestEngineEquivalence:
             }
         assert d_cyc == d_evt
 
+    def test_bit_identical_pipelined_with_midrun_faults_and_sampler(self):
+        """The pipelined router on the default (event) loop against the
+        cycle-scan oracle, with live rerouting and telemetry sampling."""
+        from repro import telemetry
+        from repro.faults import adaptive_escape_factory, random_link_schedule
+        from repro.sim import RouterConfig
+
+        # Deep SA/ST stages: the send lag differs from the ideal
+        # router's, so any cycle the event loop skips while units are
+        # busy shows up in the results.
+        rcfg = RouterConfig(
+            mode="pipelined", rc_cycles=2, sa_cycles=2, st_cycles=2, vc_buffer_flits=8
+        )
+        cfg = dataclasses.replace(CFG, router=rcfg)
+        topo = DSNTopology(32)
+        sched = random_link_schedule(topo, [3000.0, 5000.0], 0.04, seed=11)
+        factory = adaptive_escape_factory(cfg)
+        pat = make_pattern("uniform", topo.n * cfg.hosts_per_switch)
+
+        def run(engine):
+            return FlitLevelSimulator(
+                topo, factory(topo), pat, 4.0, cfg,
+                fault_schedule=sched, adapter_factory=factory, engine=engine,
+            ).run()
+
+        was = telemetry.enabled()
+        telemetry.enable()
+        try:
+            cyc, evt = run("cycle"), run(None)
+        finally:
+            if not was:
+                telemetry.disable()
+        assert cyc.fault_records and cyc.telemetry  # faults fired, sampler attached
+        d_cyc, d_evt = _as_dict(cyc), _as_dict(evt)
+        for d in (d_cyc, d_evt):
+            for record in d["fault_records"]:
+                record.pop("reroute_wall_s")
+            d["telemetry"] = {k: v for k, v in d["telemetry"].items() if "wall" not in k}
+        assert d_cyc == d_evt
+
     def test_bit_identical_with_tracer(self):
         from repro.sim.trace import TraceRecorder
 
@@ -287,39 +327,37 @@ class TestEngineEquivalence:
 
 
 class TestEngineSelection:
-    def test_default_is_event(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FLIT_ENGINE", raising=False)
+    """``engine=`` is the only run-loop selector: the event loop is the
+    default (and the only production loop), ``cycle`` the reference
+    oracle. No environment variable chooses between them."""
+
+    @staticmethod
+    def _sim(**kw):
         topo = DSNTopology(16)
         routing = DuatoAdaptiveRouting(topo)
         adapter = AdaptiveEscapeAdapter(routing, CFG.num_vcs, np.random.default_rng(0))
         pat = make_pattern("uniform", topo.n * CFG.hosts_per_switch)
-        assert FlitLevelSimulator(topo, adapter, pat, 1.0, CFG).engine == "event"
+        return FlitLevelSimulator(topo, adapter, pat, 1.0, CFG, **kw)
+
+    def test_default_is_event(self):
+        assert self._sim().engine == "event"
 
     def test_env_selects_cycle(self, monkeypatch):
+        """The retired ``REPRO_FLIT_ENGINE`` variable no longer selects
+        the cycle scan: the default stays the event loop."""
         monkeypatch.setenv("REPRO_FLIT_ENGINE", "cycle")
-        topo = DSNTopology(16)
-        routing = DuatoAdaptiveRouting(topo)
-        adapter = AdaptiveEscapeAdapter(routing, CFG.num_vcs, np.random.default_rng(0))
-        pat = make_pattern("uniform", topo.n * CFG.hosts_per_switch)
-        assert FlitLevelSimulator(topo, adapter, pat, 1.0, CFG).engine == "cycle"
+        assert self._sim().engine == "event"
 
     def test_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_FLIT_ENGINE", "cycle")
-        topo = DSNTopology(16)
-        routing = DuatoAdaptiveRouting(topo)
-        adapter = AdaptiveEscapeAdapter(routing, CFG.num_vcs, np.random.default_rng(0))
-        pat = make_pattern("uniform", topo.n * CFG.hosts_per_switch)
-        sim = FlitLevelSimulator(topo, adapter, pat, 1.0, CFG, engine="event")
-        assert sim.engine == "event"
+        monkeypatch.setenv("REPRO_FLIT_ENGINE", "event")
+        assert self._sim(engine="cycle").engine == "cycle"
 
     def test_invalid_engine_rejected(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLIT_ENGINE", "warp")
-        topo = DSNTopology(16)
-        routing = DuatoAdaptiveRouting(topo)
-        adapter = AdaptiveEscapeAdapter(routing, CFG.num_vcs, np.random.default_rng(0))
-        pat = make_pattern("uniform", topo.n * CFG.hosts_per_switch)
-        with pytest.raises(ValueError, match="REPRO_FLIT_ENGINE"):
-            FlitLevelSimulator(topo, adapter, pat, 1.0, CFG)
+        self._sim()  # the variable is ignored, not validated
+        with pytest.raises(ValueError, match="warp") as exc:
+            self._sim(engine="warp")
+        assert "event" in str(exc.value) and "cycle" in str(exc.value)
 
     def test_env_default_and_override_agree_bitwise(self, monkeypatch):
         monkeypatch.setenv("REPRO_FLIT_ENGINE", "cycle")
@@ -327,6 +365,20 @@ class TestEngineSelection:
         monkeypatch.delenv("REPRO_FLIT_ENGINE")
         via_default = run_flit(DSNTopology(16), 1.0)
         assert _as_dict(via_env) == _as_dict(via_default)
+
+    def test_env_leaves_run_key_unchanged(self, monkeypatch):
+        """Neither retired variable reaches a flit run's store key."""
+        from repro import store
+
+        def key():
+            return store.sim_run_key(
+                DSNTopology(16), "adaptive", "uniform", 1.0, SimConfig(), 1, engine="flit"
+            )
+
+        base = key()
+        monkeypatch.setenv("REPRO_FLIT_ENGINE", "cycle")
+        monkeypatch.setenv("REPRO_ROUTER", "pipelined")
+        assert key() == base
 
 
 class TestBusyUnits:
