@@ -19,8 +19,8 @@ from ``np.bitwise_count`` so no distances are ever stored.
 
 All accumulators are exact integers (Python ints / int64), so the
 result is bit-identical to the dense path and independent of block
-size and worker count -- the properties the ``bench`` regression gate
-and ``tests/test_blocked.py`` pin. Source blocks are independent and
+size and worker count -- the properties ``tests/test_blocked.py`` and
+``tests/test_parallel.py`` pin. Source blocks are independent and
 fan out through :func:`repro.util.parallel.parallel_map`
 (``REPRO_WORKERS``).
 

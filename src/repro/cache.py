@@ -91,7 +91,7 @@ _FP_ATTR = "_repro_fingerprint"
 
 # ----------------------------------------------------------------------
 # configuration (read from the environment at call time so tests and the
-# bench harness can toggle tiers without reimporting)
+# benchmarks can toggle tiers without reimporting)
 # ----------------------------------------------------------------------
 def cache_enabled() -> bool:
     """False when ``REPRO_CACHE`` is set to ``off``/``0``/``false``."""

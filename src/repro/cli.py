@@ -19,7 +19,6 @@ regenerated without writing code:
   percolation  coupled link-percolation sweep (fused incremental BFS)
   placement    cabinet-placement optimization gains (refs [7], [11])
   claims       machine-checked scorecard of every quantitative claim
-  bench        benchmark smoke: timed sweep + cache/engine regression gate
   telemetry    run any subcommand with telemetry on, then export/summarize
   serve        HTTP daemon answering queries from the run store
   loadtest     replay a zipf-skewed query mix against the daemon
@@ -202,21 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(this process only; pool workers count their own)")
     sw.add_argument("--out", default=None, metavar="PATH",
                     help="write the full curves as a JSON artifact")
-
-    bench = sub.add_parser("bench", help="benchmark smoke: timed sweep + regression checks")
-    bench.add_argument("--quick", action="store_true",
-                       help="small sizes only (the CI configuration)")
-    bench.add_argument("--out", default="BENCH_pr.json", help="where to write the timings")
-    bench.add_argument("--workers", type=_workers, default=None,
-                       help="process-pool size for the parallel identity check")
-    bench.add_argument("--tier1", action="store_true",
-                       help="also run the tier-1 pytest suite and fail on regressions")
-    bench.add_argument("--large-n", type=int, default=None, dest="large_n",
-                       help="size of the out-of-process streaming-BFS gate "
-                            "(default 65536, or 8192 with --quick; 0 skips it)")
-    bench.add_argument("--compare", nargs=2, default=None, metavar=("OLD", "NEW"),
-                       help="diff two BENCH_*.json files (per-stage speedup table "
-                            "and check regressions) instead of running the bench")
 
     th = sub.add_parser("theory", help="validate Section IV-C bounds")
     th.add_argument("--sizes", type=_sizes, default=(64, 100, 250, 1024))
@@ -693,21 +677,6 @@ def _cmd_claims(_args) -> None:
     print("\nall claims reproduced")
 
 
-def _cmd_bench(args) -> None:
-    from repro.experiments.bench import compare_bench, run_bench
-
-    if args.compare is not None:
-        if not compare_bench(args.compare[0], args.compare[1]):
-            print("\nbenchmark compare found regressions", file=sys.stderr)
-            sys.exit(1)
-        return
-    ok = run_bench(quick=args.quick, out=args.out, workers=args.workers, tier1=args.tier1,
-                   large_n=args.large_n)
-    if not ok:
-        print("\nbenchmark smoke FAILED", file=sys.stderr)
-        sys.exit(1)
-
-
 def _cmd_telemetry(args) -> None:
     import os
 
@@ -936,7 +905,6 @@ def _dispatch(argv: list[str] | None = None) -> None:
         "report": _cmd_report,
         "diagram": _cmd_diagram,
         "claims": _cmd_claims,
-        "bench": _cmd_bench,
         "telemetry": _cmd_telemetry,
         "serve": _cmd_serve,
         "loadtest": _cmd_loadtest,

@@ -132,7 +132,7 @@ def _curve_point(args: tuple) -> SimResult:
 
     def compute() -> SimResult:
         rng = np.random.default_rng((seed, int(load * 1000)))
-        num_hosts = n * cfg.hosts_per_switch
+        num_hosts = topo.n * cfg.hosts_per_switch
         # Synthetic permutations act on switch addresses (see
         # repro.traffic.patterns._PermutationTraffic): each host sends to
         # its same-offset counterpart at the permuted switch.

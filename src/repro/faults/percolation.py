@@ -36,7 +36,7 @@ bit unpacking, per-level pair counts), so the fused engine is
 *byte-identical* to a naive per-point reference (``_naive_point_job``:
 apply a :class:`~repro.faults.models.FaultSet`, BFS the rebuilt
 survivor) for every block size, worker count and ``REPRO_SHM`` setting
--- the ``percolation_sweep_speedup`` bench gate pins all of it. Disconnection
+-- ``tests/test_percolation.py`` pins all of it. Disconnection
 is expected here, not an error: metrics are defined over reachable
 pairs, with largest-component and component-count tracking alongside.
 
@@ -473,7 +473,7 @@ def _trial_job(args: tuple) -> list[dict]:
 
 def _naive_point_job(args: tuple) -> dict:
     """The per-point reference the fused engine is checked against (the
-    tests and the bench's ``percolation_sweep_speedup`` gate). Every
+    tests and the ``percolation_sweep_speedup`` timing gate). Every
     call re-derives the link list, materializes the :class:`FaultSet`,
     rebuilds the survivor topology + CSR + neighbor table and BFSes it
     from scratch -- per point, which is exactly what the fused engine

@@ -7,7 +7,7 @@ processes) and fill through a bounded ``parallel_map`` worker pool,
 and a saturated queue answers 429 + Retry-After instead of buffering
 unboundedly. ``python -m repro loadtest`` replays a zipf-skewed query
 mix against the daemon and reports warm/miss p50/p99 and throughput
-(pinned by the ``serve_latency`` bench gate). See ``docs/serving.md``.
+(gated in ``benchmarks/test_gates.py``). See ``docs/serving.md``.
 """
 
 from repro.serve.coalescer import Coalescer, QueueSaturated

@@ -302,7 +302,7 @@ def _split_target(target: str) -> tuple[str, dict]:
 # embedding helpers
 # ----------------------------------------------------------------------
 class ServerThread:
-    """A daemon on a background thread -- tests and the bench gate run
+    """A daemon on a background thread -- tests and the timing gates run
     a real socket server in-process::
 
         with ServerThread(ServeConfig(port=0)) as srv:

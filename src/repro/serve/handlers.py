@@ -2,7 +2,7 @@
 
 A *job* is a flat hashable tuple fully determining one answer --
 exactly the contract :func:`repro.store.dedup_map` requires -- and
-every layer (HTTP handler, load-test client, bench gate, direct
+every layer (HTTP handler, load-test client, timing gates, direct
 in-process calls) goes through the same three functions, which is what
 makes the byte-identity acceptance check meaningful rather than
 circular:
@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 
 from repro import store
+from repro.experiments import latency
 from repro.sim import SimConfig
 from repro.store.codec import encode_result
 
@@ -57,7 +58,7 @@ ROUTINGS = ("adaptive", "updown", "dor", "custom", "minimal_custom")
 ENGINES = ("network", "flit")
 
 #: Reduced simulation windows for interactive serving (mirrors the
-#: bench/test quick config; ``full=1`` selects the paper's defaults).
+#: tests' quick config; ``full=1`` selects the paper's defaults).
 QUICK_CONFIG_KWARGS = dict(warmup_ns=2_000.0, measure_ns=6_000.0, drain_ns=12_000.0)
 
 
@@ -205,10 +206,8 @@ def job_key(job: tuple) -> store.RunKey:
     (:mod:`repro.cache`), so repeated keying of a hot kind is cheap.
     """
     if job[0] == "latency":
-        from repro.experiments.latency import _sim_topology
-
         _, kind, pattern, load, n, seed, routing, engine, full = job
-        topo = _sim_topology(kind, n, seed, routing)
+        topo = latency._sim_topology(kind, n, seed, routing)
         return store.sim_run_key(
             topo, routing, pattern, load, sim_config(full), seed, engine=engine
         )
@@ -252,10 +251,8 @@ def compute_job(job: tuple) -> dict:
     ``dedup_map``'s process pool.
     """
     if job[0] == "latency":
-        from repro.experiments.latency import _curve_point
-
         _, kind, pattern, load, n, seed, routing, engine, full = job
-        result = _curve_point(
+        result = latency._curve_point(
             (kind, pattern, load, n, sim_config(full), seed, routing, engine)
         )
         return encode_result(result)

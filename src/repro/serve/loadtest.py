@@ -2,7 +2,7 @@
 
 Replays a query mix against a running daemon (or one it spawns with
 ``--spawn``) and reports warm/miss latency percentiles and sustained
-throughput -- the numbers the ``serve_latency`` bench gate pins.
+throughput -- the numbers the ``serve_*`` timing gates pin.
 
 The mix models the mass-evaluation workloads the serving tier exists
 for (thousands of overlapping candidate evaluations): a fixed
@@ -214,9 +214,10 @@ def run_loadtest(host: str, port: int, mix: list[str], concurrency: int = 8,
     """Replay ``mix`` against a running daemon and measure it.
 
     ``capture=True`` keeps the first 200-response body per path (the
-    bench gate compares them byte-for-byte against direct in-process
-    computes). Latencies are split by the ``X-Repro-Source`` header:
-    memory/disk responses are *warm*, computed/coalesced are *miss*.
+    ``serve_byte_identity`` gate compares them byte-for-byte against
+    direct in-process computes). Latencies are split by the
+    ``X-Repro-Source`` header: memory/disk responses are *warm*,
+    computed/coalesced are *miss*.
     """
     samples, bodies, wall = asyncio.run(
         _replay(host, port, mix, concurrency, timeout, capture)

@@ -52,7 +52,7 @@ router runs on the same loop: its VA/SA stages act every cycle, so the
 loop full-ticks every cycle while any unit is busy and jumps only
 across an idle network (bursts stay ideal-router only). The cycle
 engine remains the reference oracle the equivalence tests, the CI
-smoke step and the ``event_engine_speedup`` bench gate diff against
+smoke step and the ``event_engine_speedup`` timing gate diff against
 (``engine="cycle"``). See ``docs/performance.md``.
 
 **Dynamic fault injection** (``fault_schedule=``): links can die

@@ -31,7 +31,7 @@ packet's latency differs between the models by exactly
 
     ``(hops + 1) * (hop_lag_cycles - ideal_router_cycles) * flit_time_ns``
 
--- the closed form the ``router_pipeline`` bench gate and the CI
+-- the closed form ``tests/test_router.py`` and the CI router
 cross-validation smoke pin (see docs/performance.md).
 """
 

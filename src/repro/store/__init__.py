@@ -15,7 +15,7 @@ readable and ``python -m repro store migrate`` re-homes them. Every
 experiment entry point consults the store, which makes sweeps
 resumable (``python -m repro sweep --resume``), warm re-runs of a
 whole Fig. 10 subplot 10x+ faster with bit-identical curves (the
-``store_warm_sweep`` bench gate), and HTTP serving
+``store_warm_sweep`` timing gate), and HTTP serving
 (``python -m repro serve``, :mod:`repro.serve`) a read-mostly wrapper.
 
 Knobs: ``REPRO_STORE`` (``off`` bypasses), ``REPRO_STORE_DIR`` (disk

@@ -7,8 +7,7 @@ The observability subsystem every layer of the stack reports through:
     near-zero-overhead no-op fast path when disabled.
 ``repro.telemetry.spans``
     Nested wall-clock spans (context manager + decorator) building a
-    run-scoped trace tree; :class:`repro.util.profiling.StageTimer`
-    delegates here.
+    run-scoped trace tree.
 ``repro.telemetry.samplers``
     Periodic in-simulation sampling (per-link utilization, queue
     occupancy, accepted-vs-offered load, fault-epoch markers) attached
@@ -23,7 +22,9 @@ The observability subsystem every layer of the stack reports through:
 Enable with ``REPRO_TELEMETRY=1``, :func:`enable`, or the CLI wrapper
 ``python -m repro telemetry <command>``. With telemetry disabled every
 hook is a module-global bool check, and simulation results are
-bit-identical to a build without the hooks (pinned by the bench gate).
+bit-identical to a build without the hooks (pinned by
+``tests/test_telemetry.py``; ``benchmarks/test_gates.py`` times the
+disabled path).
 See ``docs/observability.md`` for the architecture tour.
 """
 

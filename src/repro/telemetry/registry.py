@@ -12,7 +12,7 @@ Design constraints, in order of importance:
 2. **Deterministic and side-effect free.** Metrics only *observe*;
    nothing in this package feeds back into simulation state or RNG
    draws, so results with telemetry on and off are bit-identical
-   (pinned by ``tests/test_telemetry.py`` and the bench gate).
+   (pinned by ``tests/test_telemetry.py``).
 3. **Picklable snapshots.** Worker processes report back through
    :mod:`repro.telemetry.merge`, so every metric reduces to plain
    ints/floats/tuples.

@@ -1,9 +1,8 @@
 """Nested wall-clock spans forming a run-scoped trace tree.
 
 A :class:`Span` always measures wall time (cheap: two
-``perf_counter`` calls), so callers like
-:class:`repro.util.profiling.StageTimer` can delegate to it whether or
-not telemetry is enabled. When telemetry *is* enabled, the span also
+``perf_counter`` calls), so callers can time with it whether or not
+telemetry is enabled. When telemetry *is* enabled, the span also
 attaches itself to a process-local trace tree: same-named spans under
 the same parent accumulate (seconds sum, count increments), so loops
 produce one bounded node instead of one node per iteration.

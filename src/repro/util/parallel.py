@@ -101,7 +101,7 @@ _pool_key: tuple | None = None
 def _pool_fingerprint(workers: int) -> tuple:
     """What forked workers observe at startup: recreate the pool when
     it changes, so reuse is invisible to callers that tweak the
-    environment (tests, the bench gates) between maps."""
+    environment (tests, the timing gates) between maps."""
     env = tuple(
         sorted((k, v) for k, v in os.environ.items() if k.startswith("REPRO_"))
     )

@@ -21,7 +21,7 @@ Contracts:
   without shared memory) ships the arrays by pickle instead; the
   arrays a task observes are equal either way, so results are
   bit-identical across the setting -- pinned by ``tests/test_shm.py``
-  and the ``percolation_sweep_speedup`` bench gate.
+  and ``tests/test_percolation.py``.
 * **No leaked segments.** Segments are owned (and unlinked) by the
   publishing process: ``parallel_map`` releases its broadcast in a
   ``finally``, :class:`Broadcast` is refcounted for shared long-lived

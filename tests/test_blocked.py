@@ -17,6 +17,7 @@ from repro.analysis.blocked import (
 )
 from repro.analysis.metrics import shortest_path_matrix
 from repro.core import DSNTopology
+from repro.experiments.sweeps import make_topology
 from repro.sim.arrivals import PoissonGaps
 from repro.topologies import RingTopology, TorusTopology
 from repro.util import make_rng, sample_distinct_pairs
@@ -55,6 +56,15 @@ class TestStreamingIdentity:
     )
     def test_matches_dense(self, topo):
         assert _dense_stats(topo).same_as(streaming_hop_stats(topo))
+
+    @pytest.mark.parametrize(
+        "kind,n",
+        [("dsn", 33), ("dsn", 64), ("torus", 64), ("random", 64), ("dsn", 256)],
+    )
+    def test_matches_dense_ragged_blocks(self, kind, n):
+        """97-row blocks leave a ragged last block and partial bit words."""
+        topo = make_topology(kind, n, seed=0)
+        assert _dense_stats(topo).same_as(streaming_hop_stats(topo, block_rows=97))
 
     @pytest.mark.parametrize("block_rows", [1, 7, 63, 64, 65, 100, 1000])
     def test_block_size_invariant(self, block_rows):

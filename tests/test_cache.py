@@ -234,13 +234,18 @@ class TestDeterminism:
     produce byte-identical results."""
 
     def test_graph_metrics_cold_vs_warm(self, monkeypatch, tmp_path):
+        """The Fig. 7-8 sweep points: the trio at n = 32..256."""
+        def sweep():
+            return [analyze(make_topology(k, n)) for n in (32, 64, 128, 256)
+                    for k in ("dsn", "torus", "random")]
+
         monkeypatch.setenv("REPRO_CACHE", "off")
-        cold = [analyze(make_topology(k, 64)) for k in ("dsn", "torus", "random")]
+        cold = sweep()
         monkeypatch.setenv("REPRO_CACHE", "on")
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        warm1 = [analyze(make_topology(k, 64)) for k in ("dsn", "torus", "random")]
+        warm1 = sweep()
         cache.clear_cache()  # second warm pass reads the disk tier
-        warm2 = [analyze(make_topology(k, 64)) for k in ("dsn", "torus", "random")]
+        warm2 = sweep()
         assert cold == warm1 == warm2
         assert cache.cache_stats().disk_hits > 0
 

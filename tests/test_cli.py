@@ -156,50 +156,3 @@ class TestSweep:
               "--no-store", "--store-stats"])
         out = capsys.readouterr().out
         assert "0 hits" in out and "0 misses" in out and "0 stores" in out
-
-
-class TestBenchCompare:
-    @staticmethod
-    def _artifact(path, seconds, checks):
-        import json
-
-        doc = {
-            "timestamp": "2026-01-01T00:00:00",
-            "stages": {k: {"seconds": v, "intervals": 1} for k, v in seconds.items()},
-            "checks": checks,
-        }
-        path.write_text(json.dumps(doc))
-        return str(path)
-
-    def test_compare_reports_speedups_and_passes(self, capsys, tmp_path):
-        old = self._artifact(tmp_path / "old.json", {"sweep": 2.0, "gate": 1.0},
-                             {"identity": True})
-        new = self._artifact(tmp_path / "new.json", {"sweep": 1.0, "gate": 1.0},
-                             {"identity": True, "extra": True})
-        main(["bench", "--compare", old, new])
-        out = capsys.readouterr().out
-        assert "2.00x" in out and "no check regressions" in out
-
-    def test_compare_fails_on_check_regression(self, capsys, tmp_path):
-        old = self._artifact(tmp_path / "old.json", {"sweep": 1.0}, {"identity": True})
-        new = self._artifact(tmp_path / "new.json", {"sweep": 1.0}, {"identity": False})
-        with pytest.raises(SystemExit):
-            main(["bench", "--compare", old, new])
-        assert "FAIL (new): identity" in capsys.readouterr().out
-
-    def test_compare_fails_on_lost_check(self, capsys, tmp_path):
-        old = self._artifact(tmp_path / "old.json", {"sweep": 1.0},
-                             {"identity": True, "gone": True})
-        new = self._artifact(tmp_path / "new.json", {"sweep": 1.0}, {"identity": True})
-        with pytest.raises(SystemExit):
-            main(["bench", "--compare", old, new])
-        assert "check lost: gone" in capsys.readouterr().out
-
-    def test_compare_honours_check_renames(self, capsys, tmp_path):
-        """A historical artifact's old check spelling matches the new one."""
-        old = self._artifact(tmp_path / "old.json", {"sweep": 1.0},
-                             {"telemetry_disabled_within_2pct": True})
-        new = self._artifact(tmp_path / "new.json", {"sweep": 1.0},
-                             {"telemetry_disabled_overhead": True})
-        main(["bench", "--compare", old, new])
-        assert "no check regressions" in capsys.readouterr().out

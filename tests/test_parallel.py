@@ -50,6 +50,7 @@ class TestParallelMap:
 
 class TestSweepParallelEquivalence:
     def test_hop_sweep_same_results(self):
-        serial = hop_sweep("diameter", sizes=(32, 64), workers=0)
-        parallel = hop_sweep("diameter", sizes=(32, 64), workers=2)
-        assert [r.values for r in serial] == [r.values for r in parallel]
+        for metric in ("diameter", "aspl"):
+            serial = hop_sweep(metric, sizes=(32, 64, 128, 256), workers=0)
+            parallel = hop_sweep(metric, sizes=(32, 64, 128, 256), workers=2)
+            assert [r.values for r in serial] == [r.values for r in parallel], metric

@@ -181,7 +181,7 @@ class TestLRGArbiter:
 
 
 # ----------------------------------------------------------------------
-# zero-load timing (the bench gate's contract, in miniature)
+# zero-load timing (the CI router cross-validation, in miniature)
 # ----------------------------------------------------------------------
 class TestZeroLoadTiming:
     def test_lag_matched_pipelined_is_byte_identical_to_ideal(self):
@@ -335,6 +335,19 @@ class TestRouterSweep:
         assert matched.avg_latency_ns == pytest.approx(ideal_rows[0].avg_latency_ns)
         shallow = next(r for r in rows if r.hop_lag_cycles == 2)
         assert shallow.avg_latency_ns < matched.avg_latency_ns
+
+    def test_deterministic_across_workers_and_repeats(self, monkeypatch):
+        """A pooled sweep equals the serial one row for row, and a
+        repeated pipelined run is bit-identical. The store is off so
+        equality comes from the simulator, not from stored rows."""
+        from repro.experiments import router_sweep
+
+        monkeypatch.setenv("REPRO_STORE", "off")
+        kw = dict(vcs=(4,), buffers=(8, 33), depths=(2, IDEAL_CYCLES),
+                  load=2.0, n=16, config=SimConfig(**BASE), seed=1)
+        assert router_sweep(workers=0, **kw) == router_sweep(workers=2, **kw)
+        runs = [_run(RouterConfig.with_depth(IDEAL_CYCLES), load=2.0) for _ in range(2)]
+        assert store.encode_result(runs[0]) == store.encode_result(runs[1])
 
     def test_format(self):
         from repro.experiments import format_router_sweep, router_sweep

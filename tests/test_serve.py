@@ -95,6 +95,32 @@ class TestQueryModel:
         for kind in handlers.KINDS:
             assert make_topology(kind, n).n > 0, kind
 
+    def test_every_kind_and_pattern_computes_at_n16(self, monkeypatch):
+        """Every advertised latency query computes, including kinds
+        that round n up (debruijn and ccc build 64 switches at n=16):
+        the traffic pattern is sized from the built network."""
+        monkeypatch.setenv("REPRO_STORE", "off")
+        for kind in handlers.KINDS:
+            for pattern in handlers.PATTERNS:
+                job = handlers.latency_job(kind, pattern, 1.0, n=16)
+                assert handlers.compute_job(job)["delivered_measured"] > 0, job
+
+    def test_daemon_import_loads_latency_driver(self, monkeypatch):
+        """The daemon has the latency driver before it accepts a
+        connection: no first-request import races the fill thread."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        code = ("import sys, repro.serve.daemon; "
+                "assert 'repro.experiments.latency' in sys.modules")
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
     def test_dln_defaults_to_log_n(self):
         from repro.experiments.sweeps import make_topology
 

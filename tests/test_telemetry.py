@@ -18,7 +18,6 @@ from repro.telemetry import export, merge
 from repro.telemetry.registry import TelemetryRegistry
 from repro.telemetry.samplers import SimSampler
 from repro.util.parallel import parallel_map
-from repro.util.profiling import StageTimer
 
 
 @pytest.fixture
@@ -142,27 +141,6 @@ class TestSpans:
 
         assert f() == 7
         assert [p for p, _s, _c in telemetry.span_rows()] == ["deco"]
-
-    def test_stage_timer_delegates(self, tel):
-        t = StageTimer()
-        with t.stage("alpha"):
-            pass
-        with t.stage("alpha"):
-            pass
-        assert t.counts["alpha"] == 2
-        rows = dict((p, c) for p, _s, c in telemetry.span_rows())
-        assert rows.get("bench.alpha") == 2
-
-    def test_stage_timer_format_unchanged(self, tel, tmp_path):
-        t = StageTimer()
-        with t.stage("s1"):
-            pass
-        d = t.as_dict()
-        assert set(d["s1"]) == {"seconds", "intervals"}
-        doc = t.write(str(tmp_path / "b.json"), extra={"ok": True})
-        assert set(doc) == {
-            "timestamp", "python", "platform", "cpu_count", "stages", "ok"
-        }
 
 
 # ----------------------------------------------------------------------
