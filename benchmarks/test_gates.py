@@ -83,7 +83,7 @@ LARGE_N_RSS_MB = 2048
 
 @pytest.fixture(autouse=True)
 def clean_store(monkeypatch):
-    for name in ("REPRO_STORE", "REPRO_STORE_DIR", "REPRO_STORE_SHARDS"):
+    for name in ("REPRO_STORE", "REPRO_STORE_DIR"):
         monkeypatch.delenv(name, raising=False)
     store.clear_store()
     store.reset_store_stats()
@@ -279,8 +279,7 @@ def serve_replay(tmp_path_factory):
     from repro import serve
 
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("REPRO_STORE", "REPRO_STORE_SHARDS"):
-            mp.delenv(name, raising=False)
+        mp.delenv("REPRO_STORE", raising=False)
         mp.setenv("REPRO_STORE_DIR", str(tmp_path_factory.mktemp("serve-store")))
         store.clear_store()
         candidates = serve.default_candidates(n=16)

@@ -22,7 +22,7 @@ regenerated without writing code:
   telemetry    run any subcommand with telemetry on, then export/summarize
   serve        HTTP daemon answering queries from the run store
   loadtest     replay a zipf-skewed query mix against the daemon
-  store        run-store maintenance (migrate shard layouts, info, gc)
+  store        run-store maintenance (info, gc)
   design       multi-objective topology design-space optimizer
 = =========== =====================================================
 """
@@ -66,14 +66,34 @@ def _resilience_args(p: argparse.ArgumentParser, out: str, fractions: str) -> No
     p.add_argument("--out", default=out, help="artifact path")
     p.add_argument("--workers", type=_workers, default=None,
                    help="process-pool size (or 'auto'); default REPRO_WORKERS")
+    _store_args(p, "persist per-(trial, fraction) points under DIR; faults "
+                   "and percolation share them")
+
+
+def _store_args(p: argparse.ArgumentParser, help_: str) -> None:
+    """``--store-dir``/``--resume``/``--no-store``; ``help_`` says what
+    ``--store-dir DIR`` persists. :func:`_apply_store_flags` acts on them."""
     p.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
-                   help="persist per-(trial, fraction) points under DIR "
-                        "(sets REPRO_STORE_DIR); faults and percolation share them")
+                   help=f"{help_} (sets REPRO_STORE_DIR)")
     p.add_argument("--resume", action="store_true",
                    help="shorthand for --store-dir .repro-store: reuse every "
                         "previously stored point and persist new ones")
     p.add_argument("--no-store", action="store_true", dest="no_store",
                    help="bypass the run store entirely (REPRO_STORE=off)")
+
+
+def _apply_store_flags(args) -> None:
+    """Map --no-store / --store-dir / --resume onto the store env knobs.
+
+    Env (not an API call) so spawn-mode pool workers inherit the choice.
+    """
+    import os
+
+    if args.no_store:
+        os.environ["REPRO_STORE"] = "off"
+    elif args.store_dir or args.resume:
+        os.environ["REPRO_STORE_DIR"] = args.store_dir or ".repro-store"
+        os.environ.pop("REPRO_STORE", None)
 
 
 def _workers(arg: str) -> int:
@@ -85,15 +105,30 @@ def _workers(arg: str) -> int:
 
 
 def _byte_size(arg: str) -> int:
-    """Parse a byte budget like '512M', '2G', '100K' or a plain integer."""
+    """Parse a byte budget like '512M', '2G', '100K' or a plain integer;
+    negative, infinite and NaN sizes are argparse errors."""
     s = arg.strip().lower()
     scale = {"k": 1 << 10, "m": 1 << 20, "g": 1 << 30}.get(s[-1:], 1)
     if scale != 1:
         s = s[:-1]
     try:
-        return int(float(s) * scale)
+        size = float(s) * scale
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid byte size: {arg!r}") from None
+        size = float("nan")
+    if not 0 <= size < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"invalid byte size: {arg!r} (need a finite size >= 0)")
+    return int(size)
+
+
+def _positive_int(arg: str) -> int:
+    try:
+        value = int(arg)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {arg!r}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -189,13 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--full", action="store_true", help="paper-scale windows")
     sw.add_argument("--workers", type=_workers, default=None,
                     help="process-pool size (or 'auto'); default REPRO_WORKERS")
-    sw.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
-                    help="persist results under DIR (sets REPRO_STORE_DIR)")
-    sw.add_argument("--resume", action="store_true",
-                    help="shorthand for --store-dir .repro-store: reuse every "
-                         "previously stored point and persist new ones")
-    sw.add_argument("--no-store", action="store_true", dest="no_store",
-                    help="bypass the run store entirely (REPRO_STORE=off)")
+    _store_args(sw, "persist results under DIR")
     sw.add_argument("--store-stats", action="store_true", dest="store_stats",
                     help="print hit/miss/bytes counters after the sweep "
                          "(this process only; pool workers count their own)")
@@ -325,20 +354,16 @@ def build_parser() -> argparse.ArgumentParser:
     st = sub.add_parser(
         "store",
         help="run-store maintenance",
-        description="Offline maintenance of the persistent run store "
-                    "(REPRO_STORE_DIR). 'migrate' re-homes every entry into "
-                    "the layout of --shards (default REPRO_STORE_SHARDS) with "
-                    "byte-identical renames and reaps stale lock files; "
-                    "'info' prints the layout and entry count; 'gc' prunes "
-                    "the disk tier to --max-bytes, evicting least-recently-"
-                    "used entries first (evicted entries are recomputed on "
-                    "the next resumed sweep, never lost for correctness).",
+        description="Maintenance of the persistent run store "
+                    "(REPRO_STORE_DIR). 'info' prints the entry and stale-lock "
+                    "counts; 'gc' prunes the disk tier to --max-bytes, "
+                    "evicting least-recently-written entries first (evicted "
+                    "entries are recomputed on the next resumed sweep, never "
+                    "lost for correctness), then reaps stale compute locks.",
     )
-    st.add_argument("action", choices=["migrate", "info", "gc"])
+    st.add_argument("action", choices=["info", "gc"])
     st.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
                     help="the store to operate on (default REPRO_STORE_DIR)")
-    st.add_argument("--shards", type=int, default=None,
-                    help="target shard count (0 = flat legacy layout)")
     st.add_argument("--max-bytes", type=_byte_size, default=None,
                     dest="max_bytes", metavar="SIZE",
                     help="gc byte budget; accepts K/M/G suffixes (e.g. 512M)")
@@ -363,17 +388,12 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max degree a candidate may use (default 5)")
     dsg.add_argument("--seeds", type=int, default=2,
                      help="instances per stochastic family (default 2)")
-    dsg.add_argument("--sources", type=int, default=None,
+    dsg.add_argument("--sources", type=_positive_int, default=None,
                      help="betweenness source budget (default "
                           "REPRO_DESIGN_SOURCES or 64)")
     dsg.add_argument("--workers", type=_workers, default=None,
                      help="process-pool size (or 'auto'); default REPRO_WORKERS")
-    dsg.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
-                     help="persist evaluations under DIR (sets REPRO_STORE_DIR)")
-    dsg.add_argument("--resume", action="store_true",
-                     help="shorthand for --store-dir .repro-store")
-    dsg.add_argument("--no-store", action="store_true", dest="no_store",
-                     help="bypass the run store entirely (REPRO_STORE=off)")
+    _store_args(dsg, "persist evaluations under DIR")
     dsg.add_argument("--out", default=None, metavar="PATH",
                      help="write the canonical frontier JSON artifact to PATH")
     dsg.add_argument("--json", action="store_true", dest="as_json",
@@ -454,7 +474,6 @@ def _cmd_fig10(args) -> None:
 
 def _cmd_sweep(args) -> None:
     import json
-    import os
 
     from repro import store
     from repro.experiments import fig10, format_curves
@@ -462,13 +481,7 @@ def _cmd_sweep(args) -> None:
     from repro.experiments.sweeps import PAPER_TRIO
     from repro.sim import SimConfig
 
-    if args.no_store:
-        os.environ["REPRO_STORE"] = "off"
-    elif args.store_dir or args.resume:
-        # Env (not an API call) so spawn-mode pool workers inherit it.
-        os.environ["REPRO_STORE_DIR"] = args.store_dir or ".repro-store"
-        os.environ.pop("REPRO_STORE", None)
-
+    _apply_store_flags(args)
     config = SimConfig() if args.full else SimConfig(
         warmup_ns=4000, measure_ns=12000, drain_ns=24000
     )
@@ -613,20 +626,6 @@ def _cmd_robustness(args) -> None:
     print()
     table, _ = bisection_table(n=args.n)
     print(table)
-
-
-def _apply_store_flags(args) -> None:
-    """Map --no-store / --store-dir / --resume onto the store env knobs.
-
-    Env (not an API call) so spawn-mode pool workers inherit the choice.
-    """
-    import os
-
-    if args.no_store:
-        os.environ["REPRO_STORE"] = "off"
-    elif args.store_dir or args.resume:
-        os.environ["REPRO_STORE_DIR"] = args.store_dir or ".repro-store"
-        os.environ.pop("REPRO_STORE", None)
 
 
 def _cmd_resilience(args) -> None:
@@ -775,21 +774,14 @@ def _cmd_store(args) -> None:
     import os
 
     from repro import store
-    from repro.store import shards as store_shards_mod
+    from repro.store import shards
 
     d = args.store_dir or os.environ.get("REPRO_STORE_DIR", "").strip() or None
     if d is None:
         print("store: no directory (pass --store-dir or set REPRO_STORE_DIR)",
               file=sys.stderr)
         sys.exit(2)
-    if args.action == "migrate":
-        report = store.migrate_store(d, shards=args.shards)
-        print(report.summary())
-        if not report.ok:
-            for err in report.errors:
-                print(f"  error: {err}", file=sys.stderr)
-            sys.exit(1)
-    elif args.action == "gc":
+    if args.action == "gc":
         if args.max_bytes is None:
             print("store gc: --max-bytes is required (e.g. --max-bytes 512M)",
                   file=sys.stderr)
@@ -801,24 +793,15 @@ def _cmd_store(args) -> None:
                 print(f"  error: {err}", file=sys.stderr)
             sys.exit(1)
     else:  # info
-        layout = store_shards_mod.effective_shards(d)
-        entries = sum(1 for _ in store_shards_mod.iter_entry_paths(d))
-        stale = sum(1 for _ in store_shards_mod.iter_stale_locks(d))
-        print(f"{d}: layout={'flat' if layout <= 0 else f'{layout} shards'}, "
-              f"{entries} entries, {stale} stale lock(s)")
+        entries = sum(1 for _ in shards.iter_entry_paths(d))
+        stale = sum(1 for _ in shards.iter_stale_locks(d))
+        print(f"{d}: {entries} entries, {stale} stale lock(s)")
 
 
 def _cmd_design(args) -> None:
-    import os
-
     from repro import design
 
-    if args.no_store:
-        os.environ["REPRO_STORE"] = "off"
-    elif args.store_dir or args.resume:
-        # Env (not an API call) so spawn-mode pool workers inherit it.
-        os.environ["REPRO_STORE_DIR"] = args.store_dir or ".repro-store"
-        os.environ.pop("REPRO_STORE", None)
+    _apply_store_flags(args)
     if args.action == "explain" and not args.label:
         print("design explain: a candidate label is required "
               "(see 'design frontier' for the list)", file=sys.stderr)

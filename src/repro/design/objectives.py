@@ -89,10 +89,13 @@ def channel_load_shares(
     ``i``'s u->v / v->u channel). The all-sources result is pinned
     against :func:`repro.sim.model.build_uniform_model` -- which uses
     the same probabilities in interleaved order -- by
-    ``tests/test_design.py``.
+    ``tests/test_design.py``. A budget below one source is a
+    ``ValueError``.
     """
     n = topo.n
     limit = sources if sources is not None else design_sources()
+    if limit < 1:
+        raise ValueError(f"sources must be >= 1, got {limit}")
     if n <= limit:
         src = np.arange(n)
     else:

@@ -124,6 +124,14 @@ def _field(params: dict, name: str, default=None, cast=str, choices=None):
     return value
 
 
+def _nonneg_field(params: dict, name: str) -> int:
+    """An integer field that defaults to 0 and must not be negative."""
+    value = _field(params, name, default=0, cast=int)
+    if value < 0:
+        raise QueryError(f"{name} out of range: {value}")
+    return value
+
+
 def _flag(params: dict, name: str) -> bool:
     return str(params.get(name, "")).strip().lower() in ("1", "true", "yes", "on")
 
@@ -145,7 +153,7 @@ def parse_query(path: str, params: dict) -> tuple:
             pattern=_field(params, "pattern", choices=PATTERNS),
             load=load,
             n=n,
-            seed=_field(params, "seed", default=0, cast=int),
+            seed=_nonneg_field(params, "seed"),
             routing=_field(params, "routing", default="adaptive", choices=ROUTINGS),
             engine=_field(params, "engine", default="network", choices=ENGINES),
             full=_flag(params, "full"),
@@ -157,7 +165,7 @@ def parse_query(path: str, params: dict) -> tuple:
         return topology_job(
             kind=_field(params, "kind", choices=KINDS),
             n=n,
-            seed=_field(params, "seed", default=0, cast=int),
+            seed=_nonneg_field(params, "seed"),
         )
     if path == "/v1/design":
         from repro.design.space import MIN_DESIGN_N
@@ -171,7 +179,7 @@ def parse_query(path: str, params: dict) -> tuple:
         seeds = _field(params, "seeds", default=2, cast=int)
         if not 1 <= seeds <= 16:
             raise QueryError(f"seeds out of range: {seeds}")
-        sources = _field(params, "sources", default=0, cast=int) or None
+        sources = _nonneg_field(params, "sources") or None
         return design_job(n, budget=budget, seeds=seeds, sources=sources)
     raise QueryError(f"unknown query path {path!r}")
 

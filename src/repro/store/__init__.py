@@ -9,9 +9,9 @@ buffer_flits, fault schedule)`` fingerprint, persisted as auditable
 JSON under ``REPRO_STORE_DIR`` with an in-memory LRU front, atomic
 locked writes, coalesced computes (thread single-flight in process,
 per-entry locks across processes) and an in-flight dedup scheduler.
-The disk tier fans entries across ``REPRO_STORE_SHARDS`` prefix-keyed
-subdirectories (:mod:`repro.store.shards`); legacy flat stores stay
-readable and ``python -m repro store migrate`` re-homes them. Every
+The disk tier fans entries across 16 fixed prefix-keyed
+subdirectories (:mod:`repro.store.shards`); ``python -m repro store
+info|gc`` inspects and prunes it. Every
 experiment entry point consults the store, which makes sweeps
 resumable (``python -m repro sweep --resume``), warm re-runs of a
 whole Fig. 10 subplot 10x+ faster with bit-identical curves (the
@@ -19,8 +19,7 @@ whole Fig. 10 subplot 10x+ faster with bit-identical curves (the
 (``python -m repro serve``, :mod:`repro.serve`) a read-mostly wrapper.
 
 Knobs: ``REPRO_STORE`` (``off`` bypasses), ``REPRO_STORE_DIR`` (disk
-tier), ``REPRO_STORE_MEM`` (LRU entries), ``REPRO_STORE_SHARDS``
-(layout of a new store). See ``docs/API.md``.
+tier), ``REPRO_STORE_MEM`` (LRU entries). See ``docs/API.md``.
 """
 
 from repro.store.codec import CODEC_VERSION, decode_result, encode_result
@@ -45,13 +44,11 @@ from repro.store.runstore import (
     gc_store,
     get,
     get_or_run,
-    migrate_store,
     put,
     record_misses,
     reset_store_stats,
     store_dir,
     store_enabled,
-    store_shards,
     store_stats,
 )
 
@@ -73,7 +70,6 @@ __all__ = [
     "gc_store",
     "get",
     "get_or_run",
-    "migrate_store",
     "put",
     "normalize_engine",
     "record_misses",
@@ -83,6 +79,5 @@ __all__ = [
     "sim_run_key",
     "store_dir",
     "store_enabled",
-    "store_shards",
     "store_stats",
 ]

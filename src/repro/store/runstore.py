@@ -19,11 +19,11 @@ Two tiers, mirroring :mod:`repro.cache`:
   later hits;
 * an optional on-disk JSON tier under ``REPRO_STORE_DIR`` -- one
   human-auditable file per point (the canonical key payload is stored
-  beside the result), fanned out across ``REPRO_STORE_SHARDS``
-  prefix-keyed subdirectories (:mod:`repro.store.shards`; legacy flat
-  stores stay readable and ``python -m repro store migrate`` re-homes
-  them), shared by worker processes and surviving the process, which
-  is what makes killed sweeps resumable.
+  beside the result), fanned out across 16 fixed prefix-keyed
+  subdirectories (:mod:`repro.store.shards`), shared by worker
+  processes and surviving the process, which is what makes killed
+  sweeps resumable. ``python -m repro store info|gc`` inspects and
+  prunes it.
 
 Concurrency, three layers deep:
 
@@ -76,7 +76,6 @@ __all__ = [
     "StoreStats",
     "store_enabled",
     "store_dir",
-    "store_shards",
     "store_stats",
     "reset_store_stats",
     "clear_store",
@@ -90,7 +89,6 @@ __all__ = [
     "cached_sim",
     "cached_value",
     "dedup_map",
-    "migrate_store",
     "GcReport",
     "gc_store",
 ]
@@ -163,11 +161,6 @@ def store_dir() -> str | None:
     return d or None
 
 
-def store_shards() -> int:
-    """Shard count a new store is created with (``REPRO_STORE_SHARDS``)."""
-    return _shards.store_shards()
-
-
 def _memory_capacity() -> int:
     try:
         return max(1, int(os.environ.get("REPRO_STORE_MEM", "512")))
@@ -203,7 +196,6 @@ def clear_store(disk: bool = False) -> None:
                     os.unlink(path)
                 except OSError:
                     pass
-            _shards.invalidate_layout_cache(d)
 
 
 # ----------------------------------------------------------------------
@@ -227,7 +219,7 @@ def _memory_put(digest: str, text: str) -> None:
 
 
 def disk_entry_path(key: RunKey, d: str | None = None) -> str | None:
-    """Canonical (write-side) disk location of ``key`` under the layout."""
+    """Disk location of ``key`` (whether or not it exists yet)."""
     d = d or store_dir()
     if d is None:
         return None
@@ -235,28 +227,20 @@ def disk_entry_path(key: RunKey, d: str | None = None) -> str | None:
 
 
 def find_disk_entry(key: RunKey, d: str | None = None) -> str | None:
-    """The existing on-disk file holding ``key``, or None (probes the
-    sharded home first, then the legacy flat root)."""
-    d = d or store_dir()
-    if d is None:
-        return None
-    for path in _shards.read_paths(d, key.stem, key.digest):
-        if os.path.exists(path):
-            return path
-    return None
+    """The existing on-disk file holding ``key``, or None."""
+    path = disk_entry_path(key, d)
+    return path if path is not None and os.path.exists(path) else None
 
 
 def _disk_load(key: RunKey) -> str | None:
-    d = store_dir()
-    if d is None:
+    path = disk_entry_path(key)
+    if path is None:
         return None
-    for path in _shards.read_paths(d, key.stem, key.digest):
-        try:
-            with open(path, "r") as fh:
-                return fh.read()
-        except OSError:
-            continue
-    return None
+    try:
+        with open(path, "r") as fh:
+            return fh.read()
+    except OSError:
+        return None
 
 
 def _disk_store(key: RunKey, text: str) -> None:
@@ -266,12 +250,10 @@ def _disk_store(key: RunKey, text: str) -> None:
     if d is None:
         return
     try:
-        os.makedirs(d, exist_ok=True)
-        nshards = _shards.effective_shards(d, create=True)
-        path = _shards.entry_path(d, key.stem, key.digest, nshards)
+        path = _shards.entry_path(d, key.stem, key.digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
-        with _shards.FileLock(_shards.shard_lock_path(d, key.digest, nshards)):
-            if find_disk_entry(key, d) is not None:
+        with _shards.FileLock(_shards.shard_lock_path(d, key.digest)):
+            if os.path.exists(path):
                 return  # another process/worker already published it
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".json.tmp")
             try:
@@ -482,15 +464,6 @@ def cached_value(key: RunKey, compute: Callable[[], object]):
     return get_or_run(key, compute)
 
 
-def migrate_store(d: str | None = None, shards: int | None = None):
-    """Offline re-shard of the disk tier (see :func:`repro.store.shards.
-    migrate_store`); ``d`` defaults to ``REPRO_STORE_DIR``."""
-    d = d or store_dir()
-    if d is None:
-        raise ValueError("no store directory (pass one or set REPRO_STORE_DIR)")
-    return _shards.migrate_store(d, shards=shards)
-
-
 @dataclass
 class GcReport:
     """What :func:`gc_store` did."""
@@ -502,6 +475,7 @@ class GcReport:
     evicted: int = 0
     evicted_bytes: int = 0
     kept_bytes: int = 0
+    reaped_locks: int = 0  #: stale per-entry compute locks removed
     errors: list[str] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -516,7 +490,8 @@ class GcReport:
         return (
             f"gc {self.root} to <= {self.max_bytes} bytes: "
             f"{self.evicted}/{self.scanned} entries evicted "
-            f"({self.evicted_bytes} bytes freed, {self.kept_bytes} kept)"
+            f"({self.evicted_bytes} bytes freed, {self.kept_bytes} kept), "
+            f"{self.reaped_locks} stale lock(s) reaped"
             + (f", {len(self.errors)} error(s)" if self.errors else "")
         )
 
@@ -532,6 +507,10 @@ def gc_store(d: str | None = None, max_bytes: int = 0) -> GcReport:
     active writers; evicted digests are dropped from the in-process
     memory tier too, so a later ``get`` recomputes instead of serving a
     value the disk no longer backs.
+
+    Afterwards every per-entry compute lock left behind by a killed
+    compute is reaped. A lock a live compute holds fails the
+    non-blocking acquire and is left alone.
     """
     d = d or store_dir()
     if d is None:
@@ -575,6 +554,15 @@ def gc_store(d: str | None = None, max_bytes: int = 0) -> GcReport:
         report.evicted_bytes += size
         excess -= size
     report.kept_bytes = report.total_bytes - report.evicted_bytes
+    for path in list(_shards.iter_stale_locks(d)):
+        lock = _shards.FileLock(path)
+        try:
+            if not lock.acquire(blocking=False):
+                continue  # a live compute holds it
+        except OSError:
+            continue
+        lock.unlink_then_release()
+        report.reaped_locks += 1
     return report
 
 

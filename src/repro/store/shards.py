@@ -1,49 +1,35 @@
 """Sharded on-disk layout for the run store.
 
-PR 5's disk tier kept every entry in one flat directory with one
-``.lock`` file per entry. That layout has two scaling problems the
-serving tier (:mod:`repro.serve`) runs straight into: every concurrent
-writer contends on the same directory inode (directory-entry creation
-serializes inside the filesystem), and the lock files accumulate
-forever. This module fans entries out across
-``REPRO_STORE_SHARDS`` prefix-keyed subdirectories::
+Entries fan out across a fixed set of :data:`SHARDS` prefix-keyed
+subdirectories, so concurrent writers do not all contend on one
+directory inode (directory-entry creation serializes inside the
+filesystem) and per-entry lock files never pile up in one place::
 
     REPRO_STORE_DIR/
-      .shards            <- layout marker: shard count this store uses
       .shard-000.lock    <- per-shard publish locks (fixed set, root level)
       s000/sim-03ac....json
       s001/sim-8f21....json
       ...
-      sim-legacy....json <- pre-shard entries stay readable in place
 
 Design points:
 
-* **Self-describing layout.** The shard count is written once to a
-  ``.shards`` marker by the first publisher and read back by everyone
-  else, so readers never mis-derive an entry's shard from a changed
-  environment variable. ``REPRO_STORE_SHARDS`` only decides the layout
-  of a *new* store (default 16; ``0`` keeps the legacy flat layout).
+* **One layout.** An entry's home is a pure function of its digest:
+  ``s{int(digest[:8], 16) % 16:03d}/<stem>.json``. There is no layout
+  marker and no knob, so every process agrees on where an entry lives.
+  A file found anywhere else (say, at the store root) is never read;
+  its key is a miss and is recomputed into its home.
 * **Per-shard publish locks.** Publishing locks only the entry's
   shard (``.shard-NNN.lock``), so writers on different shards never
   serialize, and the lock files are a small fixed set instead of
   one-per-entry litter. Infrastructure files are all dot-prefixed;
-  anything else ending in ``.lock`` is a reapable per-entry compute
-  lock (see :mod:`repro.store.runstore`).
-* **Transparent legacy read-through.** Lookups probe the sharded path
-  first, then the flat root, so a store written before sharding keeps
-  serving hits with no migration step.
-* **Offline migration.** :func:`migrate_store` re-homes every entry
-  into the layout of a target shard count (``0`` flattens back) with
-  plain ``os.replace`` renames -- entries round-trip byte-identically
-  -- and reaps stale per-entry lock files while it walks.
+  anything else ending in ``.lock`` inside a shard is a reapable
+  per-entry compute lock (see :mod:`repro.store.runstore`).
 """
 
 from __future__ import annotations
 
 import os
 import re
-import threading
-from dataclasses import dataclass, field
 from typing import Iterator
 
 try:  # POSIX file locking; Windows falls back to atomic-rename only.
@@ -52,160 +38,49 @@ except ImportError:  # pragma: no cover - non-POSIX platform
     fcntl = None
 
 __all__ = [
-    "DEFAULT_SHARDS",
-    "MARKER_NAME",
+    "SHARDS",
     "FileLock",
-    "MigrateReport",
-    "store_shards",
-    "effective_shards",
     "shard_index",
     "shard_dir",
     "entry_path",
-    "flat_entry_path",
-    "read_paths",
     "entry_lock_path",
     "shard_lock_path",
     "iter_entry_paths",
     "iter_stale_locks",
-    "migrate_store",
-    "invalidate_layout_cache",
 ]
 
-#: Shard count a brand-new store is created with (``REPRO_STORE_SHARDS``
-#: overrides; ``0`` means the legacy single-directory layout).
-DEFAULT_SHARDS = 16
-
-#: Name of the layout marker file at the store root.
-MARKER_NAME = ".shards"
+#: Number of shard subdirectories every store uses.
+SHARDS = 16
 
 _SHARD_DIR_RE = re.compile(r"^s(\d{3,})$")
 _ENTRY_RE = re.compile(r"^(?P<stem>[^.].*-(?P<digest>[0-9a-f]{8,}))\.json$")
-
-#: root path -> shard count, so hot lookups skip the marker read. The
-#: marker is written once per store and only rewritten by
-#: :func:`migrate_store` (which invalidates), so caching is safe.
-_layout_cache: dict[str, int] = {}
-_layout_lock = threading.Lock()
-
-
-def store_shards() -> int:
-    """Shard count for a new store (``REPRO_STORE_SHARDS``, default 16)."""
-    raw = os.environ.get("REPRO_STORE_SHARDS", "").strip()
-    if not raw:
-        return DEFAULT_SHARDS
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return DEFAULT_SHARDS
-
-
-def invalidate_layout_cache(root: str | None = None) -> None:
-    """Forget cached marker values (all roots, or one)."""
-    with _layout_lock:
-        if root is None:
-            _layout_cache.clear()
-        else:
-            _layout_cache.pop(os.path.abspath(root), None)
-
-
-def _read_marker(root: str) -> int | None:
-    try:
-        with open(os.path.join(root, MARKER_NAME), "r") as fh:
-            return max(0, int(fh.read().strip()))
-    except (OSError, ValueError):
-        return None
-
-
-def effective_shards(root: str, create: bool = False) -> int:
-    """The shard count *this* store uses.
-
-    The ``.shards`` marker wins over the environment, so every process
-    that touches the store agrees on the layout even when their
-    ``REPRO_STORE_SHARDS`` values differ. With ``create=True`` (the
-    publish path) a missing marker is written -- under the root lock,
-    first writer wins -- pinning the layout the moment the store is
-    born.
-    """
-    key = os.path.abspath(root)
-    with _layout_lock:
-        cached = _layout_cache.get(key)
-    if cached is not None:
-        return cached
-    marked = _read_marker(root)
-    if marked is not None:
-        with _layout_lock:
-            _layout_cache[key] = marked
-        return marked
-    if not create:
-        return store_shards()  # uncached: the marker may appear later
-    shards = store_shards()
-    try:
-        os.makedirs(root, exist_ok=True)
-        with FileLock(os.path.join(root, ".store.lock")):
-            marked = _read_marker(root)  # a racer may have won
-            if marked is None:
-                _write_marker(root, shards)
-                marked = shards
-    except OSError:
-        marked = shards
-    with _layout_lock:
-        _layout_cache[key] = marked
-    return marked
-
-
-def _write_marker(root: str, shards: int) -> None:
-    tmp = os.path.join(root, MARKER_NAME + ".tmp")
-    with open(tmp, "w") as fh:
-        fh.write(f"{shards}\n")
-    os.replace(tmp, os.path.join(root, MARKER_NAME))
 
 
 # ----------------------------------------------------------------------
 # path geometry
 # ----------------------------------------------------------------------
-def shard_index(digest: str, shards: int) -> int:
+def shard_index(digest: str) -> int:
     """Shard of a digest: stable prefix keying, uniform for hex digests."""
-    return int(digest[:8], 16) % shards
+    return int(digest[:8], 16) % SHARDS
 
 
 def shard_dir(root: str, index: int) -> str:
     return os.path.join(root, f"s{index:03d}")
 
 
-def flat_entry_path(root: str, stem: str) -> str:
-    """The legacy (pre-shard) location of an entry."""
-    return os.path.join(root, stem + ".json")
+def entry_path(root: str, stem: str, digest: str) -> str:
+    """The one location of an entry."""
+    return os.path.join(shard_dir(root, shard_index(digest)), stem + ".json")
 
 
-def entry_path(root: str, stem: str, digest: str, shards: int | None = None) -> str:
-    """Canonical (write-side) location of an entry under the layout."""
-    if shards is None:
-        shards = effective_shards(root)
-    if shards <= 0:
-        return flat_entry_path(root, stem)
-    return os.path.join(shard_dir(root, shard_index(digest, shards)), stem + ".json")
-
-
-def read_paths(root: str, stem: str, digest: str) -> list[str]:
-    """Probe order for a lookup: sharded home first, then the flat root."""
-    shards = effective_shards(root)
-    if shards <= 0:
-        return [flat_entry_path(root, stem)]
-    return [entry_path(root, stem, digest, shards), flat_entry_path(root, stem)]
-
-
-def entry_lock_path(root: str, stem: str, digest: str, shards: int | None = None) -> str:
+def entry_lock_path(root: str, stem: str, digest: str) -> str:
     """Per-entry compute lock; lives beside the entry, reaped after publish."""
-    return entry_path(root, stem, digest, shards)[: -len(".json")] + ".lock"
+    return entry_path(root, stem, digest)[: -len(".json")] + ".lock"
 
 
-def shard_lock_path(root: str, digest: str, shards: int | None = None) -> str:
-    """Per-shard publish lock (root-level dotfile; ``.store.lock`` when flat)."""
-    if shards is None:
-        shards = effective_shards(root)
-    if shards <= 0:
-        return os.path.join(root, ".store.lock")
-    return os.path.join(root, f".shard-{shard_index(digest, shards):03d}.lock")
+def shard_lock_path(root: str, digest: str) -> str:
+    """Per-shard publish lock (root-level dotfile)."""
+    return os.path.join(root, f".shard-{shard_index(digest):03d}.lock")
 
 
 # ----------------------------------------------------------------------
@@ -272,126 +147,33 @@ class FileLock:
 
 
 # ----------------------------------------------------------------------
-# walking and migration
+# walking
 # ----------------------------------------------------------------------
-def iter_entry_paths(root: str) -> Iterator[str]:
-    """Every entry file in the store, flat root and shard dirs alike."""
+def _iter_shard_files(root: str, keep) -> Iterator[str]:
     try:
         names = sorted(os.listdir(root))
     except OSError:
         return
     for name in names:
         path = os.path.join(root, name)
-        if _ENTRY_RE.match(name):
-            yield path
-        elif _SHARD_DIR_RE.match(name) and os.path.isdir(path):
-            try:
-                subnames = sorted(os.listdir(path))
-            except OSError:
-                continue
-            for sub in subnames:
-                if _ENTRY_RE.match(sub):
-                    yield os.path.join(path, sub)
+        if not (_SHARD_DIR_RE.match(name) and os.path.isdir(path)):
+            continue
+        try:
+            subnames = sorted(os.listdir(path))
+        except OSError:
+            continue
+        for sub in subnames:
+            if keep(sub):
+                yield os.path.join(path, sub)
+
+
+def iter_entry_paths(root: str) -> Iterator[str]:
+    """Every entry file in the store's shard directories."""
+    return _iter_shard_files(root, _ENTRY_RE.match)
 
 
 def iter_stale_locks(root: str) -> Iterator[str]:
     """Per-entry ``.lock`` files (the reapable kind, never dotfiles)."""
-    try:
-        names = sorted(os.listdir(root))
-    except OSError:
-        return
-    for name in names:
-        path = os.path.join(root, name)
-        if name.endswith(".lock") and not name.startswith("."):
-            yield path
-        elif _SHARD_DIR_RE.match(name) and os.path.isdir(path):
-            try:
-                subnames = sorted(os.listdir(path))
-            except OSError:
-                continue
-            for sub in subnames:
-                if sub.endswith(".lock") and not sub.startswith("."):
-                    yield os.path.join(path, sub)
-
-
-@dataclass
-class MigrateReport:
-    """What :func:`migrate_store` did."""
-
-    root: str
-    shards: int
-    moved: int = 0
-    kept: int = 0  #: already in their canonical home
-    duplicates: int = 0  #: same digest present in both layouts; extra removed
-    reaped_locks: int = 0
-    errors: list[str] = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.errors
-
-    def summary(self) -> str:
-        return (
-            f"migrated {self.root} to {self.shards or 'flat'} shard(s): "
-            f"{self.moved} moved, {self.kept} already placed, "
-            f"{self.duplicates} duplicate(s) dropped, "
-            f"{self.reaped_locks} stale lock(s) reaped"
-            + (f", {len(self.errors)} error(s)" if self.errors else "")
-        )
-
-
-def migrate_store(root: str, shards: int | None = None) -> MigrateReport:
-    """Re-home every entry into the layout of ``shards`` (offline).
-
-    ``shards=None`` uses ``REPRO_STORE_SHARDS``; ``0`` flattens the
-    store back to the legacy single directory. Moves are plain
-    ``os.replace`` renames, so every entry's bytes round-trip exactly;
-    an entry already present at its destination (the content-addressed
-    invariant: same digest, same content) keeps the destination copy.
-    Stale per-entry lock files are reaped along the way, and the
-    ``.shards`` marker is rewritten so readers agree on the new layout.
-    Intended to run while no writer is active ("offline").
-    """
-    if shards is None:
-        shards = store_shards()
-    report = MigrateReport(root=root, shards=shards)
-    if not os.path.isdir(root):
-        report.errors.append(f"no store directory at {root}")
-        return report
-    for path in list(iter_entry_paths(root)):
-        name = os.path.basename(path)
-        m = _ENTRY_RE.match(name)
-        dest = entry_path(root, m.group("stem"), m.group("digest"), shards)
-        if os.path.abspath(dest) == os.path.abspath(path):
-            report.kept += 1
-            continue
-        try:
-            if os.path.exists(dest):
-                os.unlink(path)
-                report.duplicates += 1
-            else:
-                os.makedirs(os.path.dirname(dest), exist_ok=True)
-                os.replace(path, dest)
-                report.moved += 1
-        except OSError as exc:
-            report.errors.append(f"{name}: {exc}")
-    for lock in list(iter_stale_locks(root)):
-        try:
-            os.unlink(lock)
-            report.reaped_locks += 1
-        except OSError:
-            pass
-    # Drop now-empty shard dirs when flattening.
-    if shards <= 0:
-        for name in sorted(os.listdir(root)):
-            if _SHARD_DIR_RE.match(name):
-                try:
-                    os.rmdir(os.path.join(root, name))
-                except OSError:
-                    pass
-    try:
-        _write_marker(root, shards)
-    except OSError as exc:
-        report.errors.append(f"marker: {exc}")
-    invalidate_layout_cache(root)
-    return report
+    return _iter_shard_files(
+        root, lambda name: name.endswith(".lock") and not name.startswith(".")
+    )

@@ -22,6 +22,13 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["nope"])
 
+    @pytest.mark.parametrize("size", ["inf", "1e400", "-1M", "-5"])
+    def test_store_gc_rejects_bad_byte_sizes(self, size, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["store", "gc", f"--max-bytes={size}"])
+        assert exc.value.code == 2
+        assert repr(size) in capsys.readouterr().err
+
 
 class TestCommands:
     def test_info_dsn(self, capsys):
@@ -156,3 +163,24 @@ class TestSweep:
               "--no-store", "--store-stats"])
         out = capsys.readouterr().out
         assert "0 hits" in out and "0 misses" in out and "0 stores" in out
+
+
+class TestStoreCommand:
+    def test_info_then_gc_empties_the_store(self, capsys, tmp_path, monkeypatch):
+        from repro import store
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        store.put(store.run_key("cli", {"i": 1}), {"v": 1})
+        store.clear_store()
+        d = ["--store-dir", str(tmp_path)]
+        main(["store", "info"] + d)
+        assert f"{tmp_path}: 1 entries, 0 stale lock(s)" in capsys.readouterr().out
+        main(["store", "gc", "--max-bytes", "0"] + d)
+        assert "1/1 entries evicted" in capsys.readouterr().out
+        main(["store", "info"] + d)
+        assert f"{tmp_path}: 0 entries, 0 stale lock(s)" in capsys.readouterr().out
+
+    def test_migrate_is_gone(self):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["store", "migrate"])
+        assert exc.value.code == 2

@@ -113,6 +113,11 @@ class TestChannelShares:
         assert a.shape == (2 * topo.num_links,)
         assert a.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("sources", [0, -5])
+    def test_sources_below_one_rejected(self, sources):
+        with pytest.raises(ValueError, match="sources"):
+            channel_load_shares(make_topology("dsn", 32), sources=sources)
+
     def test_sources_env(self, monkeypatch):
         assert design_sources() == 64
         monkeypatch.setenv("REPRO_DESIGN_SOURCES", "128")
@@ -228,6 +233,13 @@ class TestCLI:
         with pytest.raises(SystemExit):
             main(["design", "explain", "--n", "32", "--no-store"])
 
+    @pytest.mark.parametrize("sources", ["0", "-5"])
+    def test_sources_must_be_positive(self, sources, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["design", "frontier", "--n", "32", "--no-store", "--sources", sources])
+        assert exc.value.code == 2
+        assert "positive integer" in capsys.readouterr().err
+
     def test_plot_flag(self, capsys):
         main(["design", "frontier", "--n", "32", "--no-store", "--plot"])
         assert "cable metres" in capsys.readouterr().out
@@ -245,7 +257,7 @@ class TestServeDesign:
         job = handlers.parse_query("/v1/design", {})
         assert job == ("design", 64, 5, 2, design_sources())
         for bad in ({"n": str(MIN_DESIGN_N - 1)}, {"budget": "1"},
-                    {"seeds": "0"}, {"n": "junk"}):
+                    {"seeds": "0"}, {"n": "junk"}, {"sources": "-5"}):
             with pytest.raises(handlers.QueryError):
                 handlers.parse_query("/v1/design", bad)
 

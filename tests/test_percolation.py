@@ -26,7 +26,6 @@ from repro.faults.percolation import (
     percolation_trial,
     slot_tables,
 )
-from repro.store import shards as store_shards_mod
 from repro.util.parallel import shutdown_pool
 
 FRACTIONS = (0.0, 0.05, 0.15, 0.40)
@@ -38,7 +37,6 @@ def clean_env(monkeypatch):
     monkeypatch.delenv("REPRO_SHM", raising=False)
     monkeypatch.delenv("REPRO_BFS_BLOCK", raising=False)
     monkeypatch.setenv("REPRO_STORE", "off")
-    store_shards_mod.invalidate_layout_cache()
     store.clear_store()
     yield
     shutdown_pool()

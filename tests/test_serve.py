@@ -17,15 +17,12 @@ import pytest
 from repro import serve, store
 from repro.serve import handlers
 from repro.serve.daemon import Daemon, ServeConfig, ServerThread
-from repro.store import shards as store_shards_mod
 
 
 @pytest.fixture(autouse=True)
 def fresh_store(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_STORE_SHARDS", raising=False)
-    store_shards_mod.invalidate_layout_cache()
     store.clear_store()
     store.reset_store_stats()
     yield
@@ -77,6 +74,15 @@ class TestQueryModel:
         ]
         for path, params in cases:
             with pytest.raises(handlers.QueryError):
+                handlers.parse_query(path, params)
+        # Out-of-range integers are rejected by name, before any compute.
+        for path, params, field in [
+            ("/v1/latency", {"kind": "dsn", "pattern": "uniform", "load": "1",
+                             "seed": "-1"}, "seed"),
+            ("/v1/topology", {"kind": "dsn", "seed": "-1"}, "seed"),
+            ("/v1/design", {"n": "16", "sources": "-5"}, "sources"),
+        ]:
+            with pytest.raises(handlers.QueryError, match=field):
                 handlers.parse_query(path, params)
 
     def test_every_pattern_builds(self):
@@ -163,6 +169,8 @@ class TestDaemon:
             assert status == 200 and body["source"] == "computed"
             status, _, body = _get(srv.url + path.replace("neighboring", "neighbor"))
             assert status == 400 and "neighbor" in body["error"]
+            status, _, body = _get(srv.url + LAT_PATH.replace("seed=1", "seed=-1"))
+            assert status == 400 and "seed" in body["error"]
 
     def test_endpoints_and_sources(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
@@ -222,6 +230,8 @@ class TestDaemon:
 
             status, _, body = _get(srv.url + "/v1/design?n=15")
             assert status == 400 and "error" in body
+            status, _, body = _get(srv.url + "/v1/design?n=16&sources=-5")
+            assert status == 400 and "sources" in body["error"]
 
     def test_metrics_exports_store_counters(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))

@@ -1,9 +1,8 @@
 """Tests for the sharded run-store disk layout (repro.store.shards).
 
-The layout contract: the ``.shards`` marker -- not the environment --
-decides where entries live, legacy flat stores stay readable without
-migration, and ``migrate_store`` moves bytes without ever changing
-them.
+The layout contract: an entry's home is a pure function of its digest
+(16 fixed ``sNNN/`` shards), the store writes no layout marker, and a
+file anywhere else is never served -- its key recomputes into its home.
 """
 
 import json
@@ -19,21 +18,11 @@ from repro.store import shards
 def fresh_store(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_STORE_SHARDS", raising=False)
-    shards.invalidate_layout_cache()
     store.clear_store()
     store.reset_store_stats()
     yield
     store.clear_store()
     store.reset_store_stats()
-
-
-def _store_state(root):
-    """(relative path -> bytes) for every entry file under ``root``."""
-    return {
-        os.path.relpath(p, root): open(p).read()
-        for p in shards.iter_entry_paths(str(root))
-    }
 
 
 class TestLayout:
@@ -42,32 +31,11 @@ class TestLayout:
 
         digests = [hashlib.sha256(str(i).encode()).hexdigest()[:32] for i in range(100)]
         for d in digests:
-            idx = shards.shard_index(d, 16)
-            assert 0 <= idx < 16
-            assert idx == shards.shard_index(d, 16)  # pure function
+            idx = shards.shard_index(d)
+            assert 0 <= idx < shards.SHARDS == 16
+            assert idx == int(d[:8], 16) % 16  # pure prefix keying
         # Prefix keying spreads hex digests across many shards.
-        assert len({shards.shard_index(d, 16) for d in digests}) > 8
-
-    def test_env_controls_new_store_layout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "4")
-        assert shards.effective_shards(str(tmp_path), create=True) == 4
-        assert (tmp_path / ".shards").read_text().strip() == "4"
-
-    def test_marker_beats_env(self, tmp_path, monkeypatch):
-        (tmp_path / ".shards").write_text("8\n")
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "32")
-        assert shards.effective_shards(str(tmp_path)) == 8
-        # Still 8 after a cache invalidation (re-read from disk).
-        shards.invalidate_layout_cache()
-        assert shards.effective_shards(str(tmp_path), create=True) == 8
-
-    def test_zero_shards_is_flat_layout(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "0")
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        key = store.run_key("flat", {"x": 1})
-        store.put(key, {"v": 1})
-        assert (tmp_path / (key.stem + ".json")).exists()
-        assert store.get(key) == {"v": 1}
+        assert len({shards.shard_index(d) for d in digests}) > 8
 
     def test_sharded_put_lands_in_shard_dir(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
@@ -75,19 +43,34 @@ class TestLayout:
         store.put(key, {"v": 2})
         home = store.find_disk_entry(key)
         rel = os.path.relpath(home, tmp_path)
-        idx = shards.shard_index(key.digest, shards.effective_shards(str(tmp_path)))
+        idx = shards.shard_index(key.digest)
         assert rel == os.path.join(f"s{idx:03d}", key.stem + ".json")
 
-    def test_legacy_flat_store_read_through(self, tmp_path, monkeypatch):
-        """Entries written by the pre-shard layout keep serving hits in
-        a sharded store with no migration step."""
+    def test_new_store_writes_no_marker(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        key = store.run_key("legacy", {"x": 9})
-        doc = {"ns": key.namespace, "key": key.payload, "result": {"v": 99}}
-        (tmp_path / (key.stem + ".json")).write_text(json.dumps(doc))
-        (tmp_path / ".shards").write_text("16\n")
-        assert store.get(key) == {"v": 99}
-        assert store.store_stats().disk_hits == 1
+        store.put(store.run_key("marker", {"x": 1}), {"v": 1})
+        assert not (tmp_path / ".shards").exists()
+        # Only the shard dir and its publish lock sit at the root.
+        assert all(f.is_dir() or f.name.startswith(".shard-") for f in tmp_path.iterdir())
+
+    def test_flat_root_entry_is_a_miss(self, tmp_path, monkeypatch):
+        """An entry file at the store root (the retired flat layout) is
+        never read: the key recomputes byte-identically into its shard."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = store.run_key("flat", {"x": 9})
+        value = {"v": 99}
+        flat = tmp_path / (key.stem + ".json")
+        flat.write_text(json.dumps({"ns": key.namespace, "key": key.payload,
+                                    "result": value}, allow_nan=True))
+        assert store.get(key) is None and store.find_disk_entry(key) is None
+
+        calls = []
+        assert store.cached_value(key, lambda: calls.append(1) or value) == value
+        assert calls == [1] and store.store_stats().disk_hits == 0
+        home = store.find_disk_entry(key)
+        assert home == shards.entry_path(str(tmp_path), key.stem, key.digest)
+        with open(home) as fh:
+            assert fh.read() == flat.read_text()
 
     def test_infrastructure_files_are_not_entries(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
@@ -95,88 +78,6 @@ class TestLayout:
         store.put(key, {"v": 1})
         names = {os.path.basename(p) for p in shards.iter_entry_paths(str(tmp_path))}
         assert names == {key.stem + ".json"}
-        # Marker and shard locks exist but are never walked as entries.
-        assert (tmp_path / ".shards").exists()
+        # Shard locks exist but are never walked as entries.
         assert any(f.name.startswith(".shard-") for f in tmp_path.iterdir())
         assert list(shards.iter_stale_locks(str(tmp_path))) == []
-
-
-class TestMigrate:
-    def _populate(self, tmp_path, monkeypatch, shard_env, count=12):
-        monkeypatch.setenv("REPRO_STORE_SHARDS", shard_env)
-        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
-        keys = []
-        for i in range(count):
-            key = store.run_key("mig", {"i": i})
-            store.put(key, {"v": i, "blob": "x" * i})
-            keys.append(key)
-        return keys
-
-    def test_flat_to_sharded_round_trip_byte_identical(self, tmp_path, monkeypatch):
-        keys = self._populate(tmp_path, monkeypatch, "0")
-        before = _store_state(tmp_path)
-        assert all(os.sep not in rel for rel in before)  # flat to start
-
-        report = shards.migrate_store(str(tmp_path), shards=16)
-        assert report.ok and report.moved == len(keys)
-        sharded = _store_state(tmp_path)
-        assert sorted(os.path.basename(p) for p in sharded) == sorted(before)
-        assert all(os.sep in rel for rel in sharded)
-
-        report = shards.migrate_store(str(tmp_path), shards=0)
-        assert report.ok and report.moved == len(keys)
-        assert _store_state(tmp_path) == before  # same names, same bytes
-        # Empty shard dirs are gone after flattening.
-        assert not [d for d in os.listdir(tmp_path) if d.startswith("s0")]
-
-    def test_migrated_entries_stay_readable(self, tmp_path, monkeypatch):
-        keys = self._populate(tmp_path, monkeypatch, "0")
-        shards.migrate_store(str(tmp_path), shards=8)
-        store.clear_store()  # force disk reads
-        for i, key in enumerate(keys):
-            assert store.get(key) == {"v": i, "blob": "x" * i}
-
-    def test_migrate_is_idempotent(self, tmp_path, monkeypatch):
-        self._populate(tmp_path, monkeypatch, "4")
-        before = _store_state(tmp_path)
-        report = shards.migrate_store(str(tmp_path), shards=4)
-        assert report.ok and report.moved == 0 and report.kept == len(before)
-        assert _store_state(tmp_path) == before
-
-    def test_migrate_reaps_stale_locks(self, tmp_path, monkeypatch):
-        self._populate(tmp_path, monkeypatch, "0")
-        (tmp_path / "mig-deadbeef00.lock").write_text("")
-        report = shards.migrate_store(str(tmp_path), shards=16)
-        assert report.reaped_locks == 1
-        assert list(shards.iter_stale_locks(str(tmp_path))) == []
-
-    def test_migrate_drops_duplicates_keeping_destination(self, tmp_path, monkeypatch):
-        keys = self._populate(tmp_path, monkeypatch, "0", count=1)
-        key = keys[0]
-        # The same digest already published at its sharded home: the
-        # content-addressed invariant says both copies hold one content.
-        dest = shards.entry_path(str(tmp_path), key.stem, key.digest, 16)
-        os.makedirs(os.path.dirname(dest), exist_ok=True)
-        flat = tmp_path / (key.stem + ".json")
-        with open(dest, "w") as fh:
-            fh.write(flat.read_text())
-        report = shards.migrate_store(str(tmp_path), shards=16)
-        assert report.ok and report.duplicates == 1 and not flat.exists()
-
-    def test_migrate_missing_dir_errors(self, tmp_path):
-        report = shards.migrate_store(str(tmp_path / "nope"))
-        assert not report.ok
-
-    def test_cli_wrapper_requires_dir(self, monkeypatch):
-        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-        with pytest.raises(ValueError):
-            store.migrate_store()
-
-    def test_processes_with_different_env_agree_via_marker(self, tmp_path, monkeypatch):
-        """A writer created the store with 4 shards; a reader whose env
-        says 32 must still find the entries (marker wins)."""
-        keys = self._populate(tmp_path, monkeypatch, "4")
-        monkeypatch.setenv("REPRO_STORE_SHARDS", "32")
-        shards.invalidate_layout_cache()  # simulate a fresh process
-        store.clear_store()
-        assert store.get(keys[0]) == {"v": 0, "blob": ""}

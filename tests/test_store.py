@@ -28,8 +28,6 @@ def fresh_store(monkeypatch):
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     monkeypatch.delenv("REPRO_STORE_MEM", raising=False)
-    monkeypatch.delenv("REPRO_STORE_SHARDS", raising=False)
-    store_shards_mod.invalidate_layout_cache()
     store.clear_store()
     store.reset_store_stats()
     yield
@@ -38,7 +36,7 @@ def fresh_store(monkeypatch):
 
 
 def _entry_files(root):
-    """Every entry file in a store directory (flat root + shard dirs)."""
+    """Every entry file in a store directory's shard dirs."""
     return sorted(store_shards_mod.iter_entry_paths(str(root)))
 
 
@@ -615,3 +613,31 @@ class TestGcStore:
         self._populate(tmp_path, 4)
         store.gc_store(str(tmp_path), max_bytes=0)
         assert list(store_shards_mod.iter_stale_locks(str(tmp_path))) == []
+
+    def _compute_lock(self, tmp_path):
+        """The per-entry compute-lock path of a never-published key."""
+        key = store.run_key("gc", {"killed": True})
+        path = store_shards_mod.entry_lock_path(str(tmp_path), key.stem, key.digest)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        return path
+
+    def test_reaps_leftover_compute_lock(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        self._populate(tmp_path, 2)
+        lock = self._compute_lock(tmp_path)
+        open(lock, "w").close()  # left behind by a compute killed mid-run
+        report = store.gc_store(str(tmp_path), max_bytes=10**9)
+        assert report.ok and report.evicted == 0 and report.reaped_locks == 1
+        assert not os.path.exists(lock)
+        assert "1 stale lock(s) reaped" in report.summary()
+
+    def test_lock_held_by_live_compute_survives(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        held = store_shards_mod.FileLock(self._compute_lock(tmp_path))
+        assert held.acquire(blocking=False)
+        try:
+            report = store.gc_store(str(tmp_path), max_bytes=0)
+            assert report.ok and report.reaped_locks == 0
+            assert os.path.exists(held.path)
+        finally:
+            held.release()
