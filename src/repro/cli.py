@@ -355,11 +355,13 @@ def build_parser() -> argparse.ArgumentParser:
         "store",
         help="run-store maintenance",
         description="Maintenance of the persistent run store "
-                    "(REPRO_STORE_DIR). 'info' prints the entry and stale-lock "
-                    "counts; 'gc' prunes the disk tier to --max-bytes, "
-                    "evicting least-recently-written entries first (evicted "
-                    "entries are recomputed on the next resumed sweep, never "
-                    "lost for correctness), then reaps stale compute locks.",
+                    "(REPRO_STORE_DIR). 'info' prints the entry, stranded-file "
+                    "and stale-lock counts; 'gc' deletes stranded entry files "
+                    "(never served: at the store root or outside their home "
+                    "shard), prunes the disk tier to --max-bytes, evicting "
+                    "least-recently-written entries first (evicted entries are "
+                    "recomputed on the next resumed sweep, never lost for "
+                    "correctness), then reaps stale compute locks.",
     )
     st.add_argument("action", choices=["info", "gc"])
     st.add_argument("--store-dir", default=None, dest="store_dir", metavar="DIR",
@@ -794,8 +796,9 @@ def _cmd_store(args) -> None:
             sys.exit(1)
     else:  # info
         entries = sum(1 for _ in shards.iter_entry_paths(d))
+        stranded = sum(1 for _ in shards.iter_stranded_paths(d))
         stale = sum(1 for _ in shards.iter_stale_locks(d))
-        print(f"{d}: {entries} entries, {stale} stale lock(s)")
+        print(f"{d}: {entries} entries, {stranded} stranded, {stale} stale lock(s)")
 
 
 def _cmd_design(args) -> None:

@@ -3,9 +3,10 @@
 A long-lived asyncio HTTP/1.1 server answering topology-metric and
 latency-curve queries out of the run store -- the "mass candidate
 evaluation" tier the ROADMAP's cluster-comparison workloads need. The
-hot path is read-mostly: a warm query is one store lookup (memory LRU,
-then sharded disk) and never simulates. Misses flow through three
-stages of coalescing:
+hot path is read-mostly: a warm query is a memoized key lookup plus
+one store lookup (memory LRU, then sharded disk) whose stored result
+text is spliced into the response unparsed; it never simulates.
+Misses flow through three stages of coalescing:
 
 1. the asyncio :class:`~repro.serve.coalescer.Coalescer` collapses
    concurrent identical requests onto one pending future;
@@ -216,8 +217,8 @@ class Daemon:
     async def _answer(self, job: tuple):
         """The query path: store lookup, then coalesced fill on a miss."""
         key = handlers.job_key(job)
-        doc, tier = store.fetch(key)
-        if doc is not None:
+        text, tier = store.fetch_text(key)
+        if text is not None:
             source = tier  # "memory" | "disk"
         else:
             fut, leader = self.coalescer.claim(key.digest)
@@ -232,7 +233,7 @@ class Daemon:
                     return (429, _err("fill queue saturated; retry later"),
                             "application/json", [("Retry-After", retry)])
             try:
-                doc = await asyncio.shield(fut)
+                text = await asyncio.shield(fut)
             except QueueSaturated:
                 self.counters["rejected"] += 1
                 telemetry.count("serve.rejected")
@@ -245,17 +246,21 @@ class Daemon:
             source = "computed" if leader else "coalesced"
         self.counters[source] += 1
         telemetry.count(f"serve.{source}")
-        body = json.dumps(
-            {"source": source, "digest": key.digest, "result": doc}, allow_nan=True
-        )
+        # The same bytes as json.dumps({"source", "digest", "result"},
+        # allow_nan=True): source and digest are plain ASCII words.
+        body = f'{{"source": "{source}", "digest": "{key.digest}", "result": {text}}}'
         return 200, body, "application/json", [("X-Repro-Source", source)]
 
 
 def _fill_batch(jobs: list, workers: int) -> list:
-    """One queue drain -> one deduped, fanned-out compute batch."""
+    """One queue drain -> one deduped, fanned-out compute batch; each
+    ``("ok", doc)`` outcome comes back with ``doc`` rendered as JSON
+    text once, off the event loop, for the leader and its followers."""
     with telemetry.span("serve.fill"):
         telemetry.count("serve.fill_jobs", len(jobs))
-        return store.dedup_map(handlers.safe_compute_job, jobs, workers=workers)
+        outcomes = store.dedup_map(handlers.safe_compute_job, jobs, workers=workers)
+    return [(status, json.dumps(payload, allow_nan=True) if status == "ok" else payload)
+            for status, payload in outcomes]
 
 
 def _err(message: str) -> str:

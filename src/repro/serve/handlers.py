@@ -9,9 +9,9 @@ circular:
 
 * :func:`latency_job` / :func:`topology_job` build the job tuple;
 * :func:`job_key` maps a job to its :class:`~repro.store.keys.RunKey`
-  -- for latency queries this is *the same* ``sim_run_key`` the
-  experiment drivers use, so the daemon serves entries a sweep
-  published and vice versa;
+  (memoized per job) -- for latency queries this is *the same*
+  ``sim_run_key`` the experiment drivers use, so the daemon serves
+  entries a sweep published and vice versa;
 * :func:`compute_job` computes (and publishes) the encoded result
   document for a job, module-level so a process pool can pickle it.
 
@@ -22,6 +22,7 @@ paper's full :class:`~repro.sim.config.SimConfig`.
 
 from __future__ import annotations
 
+import functools
 import json
 
 from repro import store
@@ -204,15 +205,30 @@ def job_path(job: tuple) -> str:
 # ----------------------------------------------------------------------
 # keys and computes
 # ----------------------------------------------------------------------
+#: Job tuples whose keys :func:`job_key` remembers (a serve mix has a
+#: few hundred distinct queries at most; each key is ~1 kB).
+JOB_KEY_MEMO = 1024
+
+
 def job_key(job: tuple) -> store.RunKey:
     """The store key a job's answer lives under.
 
     Latency jobs key through the experiment drivers'
     :func:`~repro.store.keys.sim_run_key` (same topology fingerprint,
     same config fingerprint), so the daemon and ``run_curve`` share
-    entries. Topology construction is memoized in-process
-    (:mod:`repro.cache`), so repeated keying of a hot kind is cheap.
+    entries. A job tuple fully determines its key and nothing a key
+    reads changes during a process's life, so keys are memoized per
+    job in a bounded LRU (:data:`JOB_KEY_MEMO` entries): a repeated
+    query skips the topology lookup, the config fingerprint and the
+    payload's encoding and hash.
     """
+    # The item types are part of the memo key: 1, 1.0 and True are
+    # equal tuple items but encode to different payloads.
+    return _job_key(job, tuple(map(type, job)))
+
+
+@functools.lru_cache(maxsize=JOB_KEY_MEMO)
+def _job_key(job: tuple, types: tuple) -> store.RunKey:
     if job[0] == "latency":
         _, kind, pattern, load, n, seed, routing, engine, full = job
         topo = latency._sim_topology(kind, n, seed, routing)

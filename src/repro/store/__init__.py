@@ -40,6 +40,7 @@ from repro.store.runstore import (
     dedup_map,
     disk_entry_path,
     fetch,
+    fetch_text,
     find_disk_entry,
     gc_store,
     get,
@@ -66,6 +67,7 @@ __all__ = [
     "disk_entry_path",
     "encode_result",
     "fetch",
+    "fetch_text",
     "find_disk_entry",
     "gc_store",
     "get",

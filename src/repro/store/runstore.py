@@ -13,10 +13,14 @@ straight out of this store.
 
 Two tiers, mirroring :mod:`repro.cache`:
 
-* an in-process LRU of *encoded* documents (capacity
-  ``REPRO_STORE_MEM`` entries, default 512) -- entries are decoded on
-  every hit, so a caller mutating a returned result can never pollute
-  later hits;
+* an in-process LRU (capacity ``REPRO_STORE_MEM`` entries, default
+  512) holding, per digest, the stored key payload and the ``result``
+  rendered once as JSON text. :func:`put` renders it and builds the
+  disk entry from the same text; :func:`fetch_text` hands it to the
+  serving daemon unparsed, and :func:`fetch` parses only that text, so
+  every hit still gets fresh objects and a caller mutating a returned
+  result can never pollute later hits. Every hit, memory or disk,
+  checks the stored payload against the requested key;
 * an optional on-disk JSON tier under ``REPRO_STORE_DIR`` -- one
   human-auditable file per point (the canonical key payload is stored
   beside the result), fanned out across 16 fixed prefix-keyed
@@ -83,6 +87,7 @@ __all__ = [
     "find_disk_entry",
     "get",
     "fetch",
+    "fetch_text",
     "put",
     "record_misses",
     "get_or_run",
@@ -143,7 +148,8 @@ class StoreStats:
 
 _stats = StoreStats()
 _lock = threading.RLock()
-_memory: OrderedDict[str, str] = OrderedDict()  # digest -> encoded document
+#: digest -> (namespace, key payload, result rendered as JSON text)
+_memory: OrderedDict[str, tuple[str, str, str]] = OrderedDict()
 _inflight: dict[str, threading.Event] = {}  # digest -> single-flight latch
 
 
@@ -186,12 +192,8 @@ def clear_store(disk: bool = False) -> None:
     if disk:
         d = store_dir()
         if d and os.path.isdir(d):
-            for path in list(_shards.iter_entry_paths(d)):
-                try:
-                    os.unlink(path)
-                except OSError:
-                    pass
-            for path in list(_shards.iter_stale_locks(d)):
+            for path in [*_shards.iter_entry_paths(d), *_shards.iter_stranded_paths(d),
+                         *_shards.iter_stale_locks(d)]:
                 try:
                     os.unlink(path)
                 except OSError:
@@ -201,18 +203,18 @@ def clear_store(disk: bool = False) -> None:
 # ----------------------------------------------------------------------
 # tier plumbing
 # ----------------------------------------------------------------------
-def _memory_get(digest: str) -> str | None:
+def _memory_get(digest: str) -> tuple[str, str, str] | None:
     with _lock:
-        text = _memory.get(digest)
-        if text is not None:
+        entry = _memory.get(digest)
+        if entry is not None:
             _memory.move_to_end(digest)
-        return text
+        return entry
 
 
-def _memory_put(digest: str, text: str) -> None:
+def _memory_put(key: RunKey, result_text: str) -> None:
     with _lock:
-        _memory[digest] = text
-        _memory.move_to_end(digest)
+        _memory[key.digest] = (key.namespace, key.payload, result_text)
+        _memory.move_to_end(key.digest)
         cap = _memory_capacity()
         while len(_memory) > cap:
             _memory.popitem(last=False)
@@ -243,12 +245,20 @@ def _disk_load(key: RunKey) -> str | None:
         return None
 
 
-def _disk_store(key: RunKey, text: str) -> None:
+def _entry_text(key: RunKey, result_text: str) -> str:
+    """The disk entry document, spliced from the rendered result: the
+    same bytes as ``json.dumps({"ns", "key", "result"}, allow_nan=True)``."""
+    return (f'{{"ns": {json.dumps(key.namespace)}, "key": {json.dumps(key.payload)}, '
+            f'"result": {result_text}}}')
+
+
+def _disk_store(key: RunKey, result_text: str) -> None:
     """Write one entry: per-shard exclusive lock, first writer wins,
     atomic tmp-write + rename. Best-effort on read-only/full disks."""
     d = store_dir()
     if d is None:
         return
+    text = _entry_text(key, result_text)
     try:
         path = _shards.entry_path(d, key.stem, key.digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
@@ -293,32 +303,34 @@ def _parse(key: RunKey, text: str) -> dict | None:
 # ----------------------------------------------------------------------
 # public get / put / get-or-run
 # ----------------------------------------------------------------------
-def fetch(key: RunKey, decode: Callable[[dict], object] | None = None):
-    """Look a point up; returns ``(value, tier)``.
+def _lookup(key: RunKey):
+    """The tier walk behind :func:`fetch` and :func:`fetch_text`.
 
-    ``tier`` is ``"memory"`` or ``"disk"`` on a hit and ``None`` on a
-    miss (then ``value`` is ``None`` too). The serving daemon uses the
-    tier to label responses; :func:`get` is the value-only wrapper.
+    Returns ``(result_text, result, tier)`` or None on a miss.
+    ``result`` is the freshly parsed document on a disk hit and None on
+    a memory hit (where only the text is kept). Either tier's stored
+    payload must equal the key's.
     """
     if not store_enabled():
-        return None, None
-    text = _memory_get(key.digest)
-    tier = "memory"
+        return None
+    entry = _memory_get(key.digest)
+    if entry is not None:
+        if entry[0] != key.namespace or entry[1] != key.payload:
+            return None
+        return entry[2], None, "memory"
+    text = _disk_load(key)
     if text is None:
-        text = _disk_load(key)
-        tier = "disk"
-        if text is not None:
-            with _lock:
-                _stats.bytes_read += len(text)
-            telemetry.count("store.bytes_read", len(text))
-    if text is None:
-        return None, None
+        return None
+    with _lock:
+        _stats.bytes_read += len(text)
+    telemetry.count("store.bytes_read", len(text))
     doc = _parse(key, text)
     if doc is None:
-        return None, None
-    value = doc["result"] if decode is None else decode(doc["result"])
-    if value is None:  # unknown codec version: treat as a miss
-        return None, None
+        return None
+    return json.dumps(doc["result"], allow_nan=True), doc["result"], "disk"
+
+
+def _record_hit(key: RunKey, result_text: str, tier: str) -> None:
     with _lock:
         if tier == "memory":
             _stats.memory_hits += 1
@@ -327,8 +339,45 @@ def fetch(key: RunKey, decode: Callable[[dict], object] | None = None):
     telemetry.count("store.hits")
     telemetry.count(f"store.{tier}_hits")
     if tier == "disk":
-        _memory_put(key.digest, text)
+        _memory_put(key, result_text)
+
+
+def fetch(key: RunKey, decode: Callable[[dict], object] | None = None):
+    """Look a point up; returns ``(value, tier)``.
+
+    ``tier`` is ``"memory"`` or ``"disk"`` on a hit and ``None`` on a
+    miss (then ``value`` is ``None`` too). :func:`get` is the value-only
+    wrapper. A memory hit parses the stored result text, so the value
+    is always a fresh object.
+    """
+    found = _lookup(key)
+    if found is None:
+        return None, None
+    text, result, tier = found
+    if tier == "memory":
+        result = json.loads(text)
+    value = result if decode is None else decode(result)
+    if value is None:  # unknown codec version: treat as a miss
+        return None, None
+    _record_hit(key, text, tier)
     return value, tier
+
+
+def fetch_text(key: RunKey):
+    """Look a point up without decoding it; returns ``(result_text, tier)``.
+
+    ``result_text`` is the stored ``result`` as JSON text, equal to
+    ``json.dumps(result, allow_nan=True)`` of what :func:`fetch` returns
+    -- the serving daemon splices it into its response unparsed. Hits,
+    misses and the payload check count exactly as in :func:`fetch`; a
+    null result is a miss there and here.
+    """
+    found = _lookup(key)
+    if found is None or found[0] == "null":
+        return None, None
+    text, _, tier = found
+    _record_hit(key, text, tier)
+    return text, tier
 
 
 def get(key: RunKey, decode: Callable[[dict], object] | None = None):
@@ -344,14 +393,9 @@ def put(key: RunKey, value, encode: Callable[[object], dict] | None = None) -> N
     """Publish a computed point to both tiers (no-op when disabled)."""
     if not store_enabled():
         return
-    doc = {
-        "ns": key.namespace,
-        "key": key.payload,
-        "result": value if encode is None else encode(value),
-    }
-    text = json.dumps(doc, allow_nan=True)
-    _memory_put(key.digest, text)
-    _disk_store(key, text)
+    result_text = json.dumps(value if encode is None else encode(value), allow_nan=True)
+    _memory_put(key, result_text)
+    _disk_store(key, result_text)
 
 
 def record_misses(count: int = 1) -> None:
@@ -476,6 +520,7 @@ class GcReport:
     evicted_bytes: int = 0
     kept_bytes: int = 0
     reaped_locks: int = 0  #: stale per-entry compute locks removed
+    stranded: int = 0  #: entry files outside their home shard removed
     errors: list[str] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -491,6 +536,7 @@ class GcReport:
             f"gc {self.root} to <= {self.max_bytes} bytes: "
             f"{self.evicted}/{self.scanned} entries evicted "
             f"({self.evicted_bytes} bytes freed, {self.kept_bytes} kept), "
+            f"{self.stranded} stranded file(s) removed, "
             f"{self.reaped_locks} stale lock(s) reaped"
             + (f", {len(self.errors)} error(s)" if self.errors else "")
         )
@@ -508,9 +554,13 @@ def gc_store(d: str | None = None, max_bytes: int = 0) -> GcReport:
     memory tier too, so a later ``get`` recomputes instead of serving a
     value the disk no longer backs.
 
-    Afterwards every per-entry compute lock left behind by a killed
-    compute is reaped. A lock a live compute holds fails the
-    non-blocking acquire and is left alone.
+    Stranded entry files (at the store root, or in a shard directory
+    that is not their home; see :func:`~repro.store.shards.
+    iter_stranded_paths`) can never be served, so they are deleted
+    whatever the budget and do not count against it. Afterwards every
+    per-entry compute lock left behind by a killed compute is reaped.
+    A lock a live compute holds fails the non-blocking acquire and is
+    left alone.
     """
     d = d or store_dir()
     if d is None:
@@ -520,6 +570,15 @@ def gc_store(d: str | None = None, max_bytes: int = 0) -> GcReport:
     report = GcReport(root=d, max_bytes=max_bytes)
     if not os.path.isdir(d):
         return report
+    for path in list(_shards.iter_stranded_paths(d)):
+        try:
+            os.unlink(path)
+        except FileNotFoundError:
+            continue  # another gc got it
+        except OSError as exc:
+            report.errors.append(f"{path}: {exc}")
+            continue
+        report.stranded += 1
     entries: list[tuple[float, str, int, str]] = []  # (mtime, path, size, digest)
     for path in _shards.iter_entry_paths(d):
         m = _shards._ENTRY_RE.match(os.path.basename(path))

@@ -17,7 +17,9 @@ Design points:
   ``s{int(digest[:8], 16) % 16:03d}/<stem>.json``. There is no layout
   marker and no knob, so every process agrees on where an entry lives.
   A file found anywhere else (say, at the store root) is never read;
-  its key is a miss and is recomputed into its home.
+  its key is a miss and is recomputed into its home. Such *stranded*
+  files are listed by :func:`iter_stranded_paths`, counted by
+  ``store info`` and deleted by every ``store gc``.
 * **Per-shard publish locks.** Publishing locks only the entry's
   shard (``.shard-NNN.lock``), so writers on different shards never
   serialize, and the lock files are a small fixed set instead of
@@ -28,6 +30,7 @@ Design points:
 
 from __future__ import annotations
 
+import itertools
 import os
 import re
 from typing import Iterator
@@ -46,6 +49,7 @@ __all__ = [
     "entry_lock_path",
     "shard_lock_path",
     "iter_entry_paths",
+    "iter_stranded_paths",
     "iter_stale_locks",
 ]
 
@@ -167,9 +171,30 @@ def _iter_shard_files(root: str, keep) -> Iterator[str]:
                 yield os.path.join(path, sub)
 
 
+def _is_home(path: str) -> bool:
+    """True when a shard file sits in its digest's shard directory."""
+    digest = _ENTRY_RE.match(os.path.basename(path)).group("digest")
+    return os.path.basename(os.path.dirname(path)) == f"s{shard_index(digest):03d}"
+
+
 def iter_entry_paths(root: str) -> Iterator[str]:
-    """Every entry file in the store's shard directories."""
-    return _iter_shard_files(root, _ENTRY_RE.match)
+    """Every entry file that sits in its home shard directory."""
+    return filter(_is_home, _iter_shard_files(root, _ENTRY_RE.match))
+
+
+def iter_stranded_paths(root: str) -> Iterator[str]:
+    """Entry files no lookup ever reads: those at the store root (the
+    retired flat layout) and shard files outside their home shard (a
+    store written with another shard count)."""
+    try:
+        names = sorted(os.listdir(root))
+    except OSError:
+        return
+    for name in names:
+        path = os.path.join(root, name)
+        if _ENTRY_RE.match(name) and os.path.isfile(path):
+            yield path
+    yield from itertools.filterfalse(_is_home, _iter_shard_files(root, _ENTRY_RE.match))
 
 
 def iter_stale_locks(root: str) -> Iterator[str]:

@@ -174,11 +174,34 @@ class TestStoreCommand:
         store.clear_store()
         d = ["--store-dir", str(tmp_path)]
         main(["store", "info"] + d)
-        assert f"{tmp_path}: 1 entries, 0 stale lock(s)" in capsys.readouterr().out
+        assert f"{tmp_path}: 1 entries, 0 stranded, 0 stale lock(s)" in capsys.readouterr().out
         main(["store", "gc", "--max-bytes", "0"] + d)
         assert "1/1 entries evicted" in capsys.readouterr().out
         main(["store", "info"] + d)
-        assert f"{tmp_path}: 0 entries, 0 stale lock(s)" in capsys.readouterr().out
+        assert f"{tmp_path}: 0 entries, 0 stranded, 0 stale lock(s)" in capsys.readouterr().out
+
+    def test_info_counts_stranded_files_and_gc_removes_them(
+            self, capsys, tmp_path, monkeypatch):
+        import json
+
+        from repro import store
+        from repro.store import shards
+
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = store.run_key("cli", {"i": 2})
+        store.put(key, {"v": 2})
+        doc = json.dumps({"ns": key.namespace, "key": key.payload, "result": {"v": 2}})
+        (tmp_path / (key.stem + ".json")).write_text(doc)  # flat-layout leftover
+        other = tmp_path / f"s{(shards.shard_index(key.digest) + 1) % shards.SHARDS:03d}"
+        other.mkdir(exist_ok=True)
+        (other / (key.stem + ".json")).write_text(doc)  # outside its home shard
+        d = ["--store-dir", str(tmp_path)]
+        main(["store", "info"] + d)
+        assert f"{tmp_path}: 1 entries, 2 stranded, 0 stale lock(s)" in capsys.readouterr().out
+        main(["store", "gc", "--max-bytes", "1G"] + d)
+        assert "0/1 entries evicted" in capsys.readouterr().out
+        main(["store", "info"] + d)
+        assert f"{tmp_path}: 1 entries, 0 stranded, 0 stale lock(s)" in capsys.readouterr().out
 
     def test_migrate_is_gone(self):
         with pytest.raises(SystemExit) as exc:

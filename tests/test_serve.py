@@ -1,13 +1,16 @@
 """Tests for the serving tier (repro.serve).
 
 The daemon's contract: a served answer is the stored document --
-byte-identical to a direct in-process ``get_or_run`` -- warm hits
-never compute, concurrent identical queries coalesce onto one fill,
+byte-identical to a direct in-process ``get_or_run`` and to
+``json.dumps`` of the decoded document -- warm hits never compute, concurrent identical queries coalesce onto one fill,
 and a saturated fill queue answers 429 instead of buffering without
 bound.
 """
 
+import asyncio
 import json
+import math
+import threading
 import urllib.error
 import urllib.parse
 import urllib.request
@@ -17,6 +20,7 @@ import pytest
 from repro import serve, store
 from repro.serve import handlers
 from repro.serve.daemon import Daemon, ServeConfig, ServerThread
+from repro.store import keys
 
 
 @pytest.fixture(autouse=True)
@@ -298,6 +302,120 @@ class TestDaemon:
         srv.stop()
         with pytest.raises((ConnectionError, urllib.error.URLError, OSError)):
             urllib.request.urlopen(srv.url + "/healthz", timeout=2)
+
+
+def _redumped(body: str) -> str:
+    """What the daemon answered before the splice: ``json.dumps`` of
+    the decoded document."""
+    doc = json.loads(body)
+    return json.dumps({"source": doc["source"], "digest": doc["digest"],
+                       "result": doc["result"]}, allow_nan=True)
+
+
+class TestHitPath:
+    """A warm hit is a memoized key plus the stored result text spliced
+    into the body; the bytes must not differ from re-encoding."""
+
+    NAN_METRICS = {"name": "DSN-16", "n": 16, "aspl": float("nan"),
+                   "diameter": 4, "ratio": 0.1 + 0.2}
+
+    def test_bodies_identical_for_every_source(self, tmp_path, monkeypatch):
+        """computed, coalesced, memory and disk answers: each body is the
+        bytes of ``json.dumps`` of its decoded document, NaN included,
+        and all four carry the same result text."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        gate = threading.Event()
+
+        def slow_metrics(kind, n, seed):
+            gate.wait(10.0)
+            return dict(self.NAN_METRICS)
+
+        monkeypatch.setattr(handlers, "_topo_metrics", slow_metrics)
+        job = handlers.topology_job("dsn", n=16, seed=3)
+        daemon = Daemon(ServeConfig(port=0))
+
+        async def scenario():
+            daemon._queue = asyncio.Queue(maxsize=4)
+            filler = asyncio.create_task(daemon._filler())
+            cold = [asyncio.create_task(daemon._answer(job)) for _ in range(3)]
+            await asyncio.sleep(0.05)  # every request has claimed the fill
+            gate.set()
+            answers = await asyncio.gather(*cold)
+            answers.append(await daemon._answer(job))
+            store.clear_store()
+            answers.append(await daemon._answer(job))
+            filler.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await filler
+            return answers
+
+        answers = asyncio.run(scenario())
+        sources = [extra[0][1] for _, _, _, extra in answers]
+        assert sources == ["computed", "coalesced", "coalesced", "memory", "disk"]
+        results = set()
+        for status, body, _, _ in answers:
+            assert status == 200
+            assert body == _redumped(body)
+            result = json.loads(body)["result"]
+            assert math.isnan(result["aspl"])
+            results.add(json.dumps(result, allow_nan=True))
+        assert len(results) == 1
+
+    def test_wire_bytes_are_the_spliced_document(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = handlers.job_key(_path_job(TOPO_PATH))
+        store.put(key, self.NAN_METRICS)
+        with ServerThread(ServeConfig(port=0)) as srv:
+            for expected in ("memory", "disk"):
+                if expected == "disk":
+                    store.clear_store()
+                with urllib.request.urlopen(srv.url + TOPO_PATH) as resp:
+                    raw = resp.read()
+                    assert resp.headers["X-Repro-Source"] == expected
+                assert raw == _redumped(raw.decode()).encode()
+                assert json.loads(raw)["digest"] == key.digest
+
+    def test_memoized_job_key_equals_fresh_computation(self):
+        jobs = [
+            handlers.latency_job("dsn", "uniform", 1.0, n=16, seed=1),
+            handlers.latency_job("torus", "bit_reversal", 4.0, n=16, seed=2,
+                                 routing="dor", engine="flit", full=True),
+            handlers.topology_job("dsn", n=16, seed=1),
+            ("topo", "dsn", 16, True),  # equal to seed=1 as a tuple, not as a key
+            handlers.design_job(16, budget=5, seeds=1, sources=16),
+        ]
+        handlers._job_key.cache_clear()
+        for job in jobs:
+            first = handlers.job_key(job)
+            assert handlers.job_key(job) is first  # served from the memo
+            assert first == handlers._job_key.__wrapped__(job, None)
+        info = handlers._job_key.cache_info()
+        assert info.hits == len(jobs) and info.maxsize == handlers.JOB_KEY_MEMO
+        assert handlers.job_key(jobs[3]) != handlers.job_key(jobs[2])
+
+    def test_warm_memory_hit_skips_parse_and_fingerprint(self, monkeypatch):
+        """Mechanism pin (counts, not timings): a warm memory hit through
+        ``Daemon._answer`` neither parses JSON nor fingerprints a config."""
+        job = handlers.latency_job("dsn", "uniform", 1.0, n=16, seed=1)
+        store.put(handlers.job_key(job), {"latencies_ns": [1.5, float("nan")]})
+        calls = {"loads": 0, "config_fingerprint": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(json, "loads", counting("loads", json.loads))
+        monkeypatch.setattr(keys, "config_fingerprint",
+                            counting("config_fingerprint", keys.config_fingerprint))
+        status, body, _, extra = asyncio.run(Daemon(ServeConfig(port=0))._answer(job))
+        assert status == 200 and extra == [("X-Repro-Source", "memory")]
+        assert calls == {"loads": 0, "config_fingerprint": 0}
+        # The counters are live: a decoding fetch parses, a new job keys.
+        store.fetch(handlers.job_key(job))
+        handlers.job_key(handlers.latency_job("dsn", "uniform", 3.25, n=16, seed=7))
+        assert calls["loads"] >= 1 and calls["config_fingerprint"] >= 1
 
 
 class TestLoadtest:

@@ -216,6 +216,54 @@ class TestMemoryTier:
         s = store.store_stats()
         assert s.misses == 1 and s.memory_hits == 2
 
+    def test_get_results_are_fresh_objects(self):
+        """Mutating what ``store.get`` returned must not change the next
+        hit: each hit parses the rendered text anew."""
+        key = store.run_key("t", {"x": 4})
+        store.put(key, {"v": [1, 2], "w": {"a": 1}})
+        got = store.get(key)
+        got["v"].append(3)
+        got["w"]["a"] = 666
+        assert store.get(key) == {"v": [1, 2], "w": {"a": 1}}
+        assert store.fetch_text(key) == ('{"v": [1, 2], "w": {"a": 1}}', "memory")
+
+    def test_memory_entry_with_other_payload_is_a_miss(self):
+        """The memory tier keeps each entry's payload and checks it on
+        every hit, like the disk tier: a digest collision is a miss."""
+        key = store.run_key("t", {"x": 5})
+        store.put(key, {"v": 5})
+        for impostor in (store.RunKey(key.namespace, key.payload + " ", key.digest),
+                         store.RunKey("u", key.payload, key.digest)):
+            assert store.fetch(impostor) == (None, None)
+            assert store.fetch_text(impostor) == (None, None)
+        s = store.store_stats()
+        assert s.memory_hits == 0 and s.disk_hits == 0
+        assert store.fetch(key) == ({"v": 5}, "memory")
+
+    def test_fetch_text_is_dumps_of_fetch(self):
+        key = store.run_key("t", {"x": 6})
+        value = {"aspl": float("nan"), "inf": float("inf"), "name": "DSN-\u00e9", "l": [0.1 + 0.2]}
+        store.put(key, value)
+        text, tier = store.fetch_text(key)
+        assert tier == "memory"
+        assert text == json.dumps(value, allow_nan=True)
+        assert text == json.dumps(store.get(key), allow_nan=True)
+        assert store.store_stats().memory_hits == 2
+
+    def test_null_result_is_a_miss_for_both_lookups(self):
+        key = store.run_key("t", {"x": 8})
+        store.put(key, None)
+        assert store.fetch(key) == (None, None)
+        assert store.fetch_text(key) == (None, None)
+
+    def test_clear_store_drops_rendered_text(self):
+        key = store.run_key("t", {"x": 7})
+        store.put(key, {"v": 7})
+        assert store.fetch_text(key)[0] == '{"v": 7}'
+        store.clear_store()
+        assert store.fetch_text(key) == (None, None)
+        assert store.get(key) is None
+
     def test_disabled_bypasses_everything(self, monkeypatch):
         monkeypatch.setenv("REPRO_STORE", "off")
         key = store.run_key("t", {"x": 3})
@@ -245,6 +293,40 @@ class TestDiskTier:
         # The disk hit backfilled memory.
         assert store.cached_value(key, lambda: pytest.fail("nope")) == {"v": 7}
         assert store.store_stats().memory_hits == 1
+
+    @pytest.mark.parametrize("value", [
+        {"v": 7},
+        {"aspl": float("nan"), "lat": [float("inf"), -0.0, 1e16, 0.1 + 0.2]},
+        {"name": "DSN-\u00e9\u2713", "nested": {"2": [True, None, "a\"b\\c"]}},
+        [1, "two", 3.5],
+    ])
+    def test_entry_bytes_equal_whole_document_dumps(self, tmp_path, monkeypatch, value):
+        """``put`` splices the entry from the rendered result; the file
+        holds the same bytes as one ``json.dumps`` of the whole document,
+        so stores written before and after the splice agree."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = store.run_key("bytes", {"x": 1, "s": "\u00e9"})
+        store.put(key, value)
+        with open(store.find_disk_entry(key)) as fh:
+            assert fh.read() == json.dumps(
+                {"ns": key.namespace, "key": key.payload, "result": value}, allow_nan=True)
+
+    def test_disk_hit_text_and_values(self, tmp_path, monkeypatch):
+        """A disk hit renders the result text once; a caller mutating the
+        value it got cannot change the memory entry it backfilled."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = store.run_key("t", {"x": 9})
+        value = {"v": [1, 2], "nan": float("nan")}
+        store.put(key, value)
+        store.clear_store()
+        text, tier = store.fetch_text(key)
+        assert tier == "disk" and text == json.dumps(value, allow_nan=True)
+        store.clear_store()
+        got, tier = store.fetch(key)
+        assert tier == "disk"
+        got["v"].append(3)
+        assert store.fetch_text(key) == (json.dumps(value, allow_nan=True), "memory")
+        assert store.get(key)["v"] == [1, 2]
 
     def test_corrupt_entry_degrades_to_miss(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
@@ -333,6 +415,50 @@ def _race_worker(args):
 
 
 class TestConcurrency:
+    def test_threads_churning_the_rendered_tier(self, monkeypatch):
+        """Threads putting and reading overlapping keys through a tiny
+        memory tier: every hit is its own key's value, and a reader
+        mutating what it got never shows up in another hit."""
+        import random
+        import sys
+
+        monkeypatch.setenv("REPRO_STORE_MEM", "3")
+        keys = [store.run_key("churn", {"i": i}) for i in range(8)]
+        errors = []
+
+        def worker(seed):
+            rng = random.Random(seed)
+            for _ in range(1500):
+                i = rng.randrange(len(keys))
+                expected = {"i": i, "x": [i, i]}
+                op = rng.random()
+                if op < 0.3:
+                    store.put(keys[i], expected)
+                elif op < 0.65:
+                    text, _ = store.fetch_text(keys[i])
+                    if text not in (None, json.dumps(expected)):
+                        errors.append(text)
+                else:
+                    value = store.get(keys[i])
+                    if value not in (None, expected):
+                        errors.append(value)
+                    if value is not None:
+                        value["x"].append(-1)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert store.store_stats().memory_hits > 0
+
     def test_two_processes_race_one_compute(self, tmp_path):
         """Two processes racing one cold key coalesce on the per-entry
         lock: exactly one compute, one publish, and both decode the
@@ -630,6 +756,42 @@ class TestGcStore:
         assert report.ok and report.evicted == 0 and report.reaped_locks == 1
         assert not os.path.exists(lock)
         assert "1 stale lock(s) reaped" in report.summary()
+
+    def _stranded(self, tmp_path):
+        """One root-level entry (the retired flat layout) and one entry
+        in a shard dir that is not its home; returns their paths."""
+        flat_key = store.run_key("gc", {"flat": 1})
+        flat = tmp_path / (flat_key.stem + ".json")
+        flat.write_text(json.dumps({"ns": "gc", "key": flat_key.payload, "result": 1}))
+        moved_key = store.run_key("gc", {"moved": 1})
+        home = store_shards_mod.shard_index(moved_key.digest)
+        wrong = tmp_path / f"s{(home + 1) % store_shards_mod.SHARDS:03d}"
+        wrong.mkdir(exist_ok=True)
+        moved = wrong / (moved_key.stem + ".json")
+        moved.write_text(json.dumps({"ns": "gc", "key": moved_key.payload, "result": 2}))
+        return [str(flat), str(moved)]
+
+    def test_removes_stranded_files_whatever_the_budget(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        paths = self._populate(tmp_path, 2)
+        stranded = self._stranded(tmp_path)
+        assert sorted(store_shards_mod.iter_stranded_paths(str(tmp_path))) == sorted(stranded)
+        assert _entry_files(tmp_path) == sorted(paths)  # stranded files are not entries
+        report = store.gc_store(str(tmp_path), max_bytes=10**9)
+        assert report.ok and report.stranded == 2
+        assert report.scanned == 2 and report.evicted == 0
+        assert report.total_bytes == sum(os.path.getsize(p) for p in paths)
+        assert not any(os.path.exists(p) for p in stranded)
+        assert all(os.path.exists(p) for p in paths)
+        assert "2 stranded file(s) removed" in report.summary()
+        again = store.gc_store(str(tmp_path), max_bytes=10**9)
+        assert again.stranded == 0
+
+    def test_clear_store_disk_removes_stranded_files(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        stranded = self._stranded(tmp_path)
+        store.clear_store(disk=True)
+        assert not any(os.path.exists(p) for p in stranded)
 
     def test_lock_held_by_live_compute_survives(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
