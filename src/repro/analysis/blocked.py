@@ -25,8 +25,8 @@ fan out through :func:`repro.util.parallel.parallel_map`
 (``REPRO_WORKERS``).
 
 Most callers should go through :func:`repro.cache.hop_stats`, which
-picks the dense or streaming engine based on the ``REPRO_CACHE_MEM_MB``
-byte budget and memoizes the (tiny) result.
+picks the dense or streaming engine based on the cache's byte budget
+(``repro.cache.MEMORY_BUDGET_BYTES``) and memoizes the (tiny) result.
 """
 
 from __future__ import annotations

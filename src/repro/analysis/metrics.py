@@ -6,9 +6,10 @@ reductions here run directly over it -- as running sums/maxes and
 row-blocked bincounts, never allocating a second n x n temporary.
 Without one, every function routes through :func:`repro.cache.hop_stats`,
 the single dispatch that picks the dense csgraph BFS or the blocked
-streaming engine (:mod:`repro.analysis.blocked`) based on the
-``REPRO_CACHE_MEM_MB`` byte budget -- so the same call scales from the
-paper's n = 2048 sweeps to n >= 10^5 without an 8 GB matrix.
+streaming engine (:mod:`repro.analysis.blocked`) based on the cache's
+byte budget (``repro.cache.MEMORY_BUDGET_BYTES``) -- so the same call
+scales from the paper's n = 2048 sweeps to n >= 10^5 without an 8 GB
+matrix.
 
 ASPL is computed as the exact integer hop total divided by the ordered
 pair count, so the dense and streaming engines agree bit-for-bit.

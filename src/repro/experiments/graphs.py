@@ -6,9 +6,9 @@ and RANDOM (DLN-2-2) for N = 32..2048 switches.
 
 Every row goes through :func:`repro.cache.hop_stats`, which swaps the
 dense distance matrix for the blocked streaming BFS engine above the
-``REPRO_CACHE_MEM_MB`` byte budget -- so the same drivers extend the
-sweeps to n >= 10^5 (``python -m repro fig8 --sizes 65536``) in O(n)
-memory.
+cache's byte budget (``repro.cache.MEMORY_BUDGET_BYTES``) -- so the
+same drivers extend the sweeps to n >= 10^5 (``python -m repro fig8
+--sizes 65536``) in O(n) memory.
 """
 
 from __future__ import annotations

@@ -73,7 +73,7 @@ class ShortestPathTable:
         self._nh_indices: np.ndarray | None = None
 
     # ------------------------------------------------------------------
-    # next-hop table (built lazily; injectable from the artifact cache)
+    # next-hop table (built lazily)
     # ------------------------------------------------------------------
     def _ensure_next_hops(self) -> None:
         if self._nh_indptr is None:
@@ -91,11 +91,6 @@ class ShortestPathTable:
         """The raw ``(indptr, indices)`` CSR next-hop table."""
         self._ensure_next_hops()
         return self._nh_indptr, self._nh_indices
-
-    def set_next_hop_arrays(self, indptr: np.ndarray, indices: np.ndarray) -> None:
-        """Install a precomputed next-hop table (cache rehydration)."""
-        self._nh_indptr = np.asarray(indptr, dtype=np.int64)
-        self._nh_indices = np.asarray(indices, dtype=np.int32)
 
     # ------------------------------------------------------------------
     def distance(self, s: int, t: int) -> int:

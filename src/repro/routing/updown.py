@@ -48,8 +48,7 @@ class UpDownRouting:
             raise ValueError(f"root {root} out of range")
         self.root = root
         self._depth = self._bfs_depths(topo, root)
-        # next_hop[phase][u][t] = (next node, next phase) or None
-        self._next, self._dist = self._build_tables()
+        self._dist = self._build_tables()
 
     # ------------------------------------------------------------------
     @staticmethod
@@ -114,29 +113,7 @@ class UpDownRouting:
             raise AssertionError("up*/down* failed to reach some pair; tree broken")
         self._next_node = next_node
         self._next_phase = next_phase
-        return (next_node, next_phase), dist
-
-    @classmethod
-    def _restore(
-        cls,
-        topo: Topology,
-        root: int,
-        depth: np.ndarray,
-        next_node: np.ndarray,
-        next_phase: np.ndarray,
-        dist: np.ndarray,
-    ) -> "UpDownRouting":
-        """Rehydrate from precomputed tables (the artifact cache's disk
-        tier) without rerunning the per-destination BFS."""
-        obj = cls.__new__(cls)
-        obj.topo = topo
-        obj.root = int(root)
-        obj._depth = depth
-        obj._next_node = next_node
-        obj._next_phase = next_phase
-        obj._next = (next_node, next_phase)
-        obj._dist = dist
-        return obj
+        return dist
 
     # ------------------------------------------------------------------
     def distance(self, s: int, t: int) -> int:

@@ -19,7 +19,7 @@ whole Fig. 10 subplot 10x+ faster with bit-identical curves (the
 (``python -m repro serve``, :mod:`repro.serve`) a read-mostly wrapper.
 
 Knobs: ``REPRO_STORE`` (``off`` bypasses), ``REPRO_STORE_DIR`` (disk
-tier), ``REPRO_STORE_MEM`` (LRU entries). See ``docs/API.md``.
+tier). See ``docs/API.md``.
 """
 
 from repro.store.codec import CODEC_VERSION, decode_result, encode_result

@@ -11,10 +11,10 @@ studies amortize thousands of near-identical evaluations across one
 campaign. The serving daemon (:mod:`repro.serve`) answers HTTP queries
 straight out of this store.
 
-Two tiers, mirroring :mod:`repro.cache`:
+Two tiers:
 
-* an in-process LRU (capacity ``REPRO_STORE_MEM`` entries, default
-  512) holding, per digest, the stored key payload and the ``result``
+* an in-process LRU (capacity :data:`MEMORY_CAPACITY` entries)
+  holding, per digest, the stored key payload and the ``result``
   rendered once as JSON text. :func:`put` renders it and builds the
   disk entry from the same text; :func:`fetch_text` hands it to the
   serving daemon unparsed, and :func:`fetch` parses only that text, so
@@ -146,6 +146,9 @@ class StoreStats:
         }
 
 
+#: Capacity (entries) of the in-process LRU tier.
+MEMORY_CAPACITY = 512
+
 _stats = StoreStats()
 _lock = threading.RLock()
 #: digest -> (namespace, key payload, result rendered as JSON text)
@@ -154,7 +157,8 @@ _inflight: dict[str, threading.Event] = {}  # digest -> single-flight latch
 
 
 # ----------------------------------------------------------------------
-# configuration (env read at call time, like repro.cache)
+# configuration (env read at call time, so tests and CLI flags can
+# toggle tiers without reimporting)
 # ----------------------------------------------------------------------
 def store_enabled() -> bool:
     """False when ``REPRO_STORE`` is set to ``off``/``0``/``false``."""
@@ -165,13 +169,6 @@ def store_dir() -> str | None:
     """Disk-tier directory (``REPRO_STORE_DIR``), or None for memory-only."""
     d = os.environ.get("REPRO_STORE_DIR", "").strip()
     return d or None
-
-
-def _memory_capacity() -> int:
-    try:
-        return max(1, int(os.environ.get("REPRO_STORE_MEM", "512")))
-    except ValueError:
-        return 512
 
 
 def store_stats() -> StoreStats:
@@ -215,8 +212,7 @@ def _memory_put(key: RunKey, result_text: str) -> None:
     with _lock:
         _memory[key.digest] = (key.namespace, key.payload, result_text)
         _memory.move_to_end(key.digest)
-        cap = _memory_capacity()
-        while len(_memory) > cap:
+        while len(_memory) > MEMORY_CAPACITY:
             _memory.popitem(last=False)
 
 
@@ -254,7 +250,10 @@ def _entry_text(key: RunKey, result_text: str) -> str:
 
 def _disk_store(key: RunKey, result_text: str) -> None:
     """Write one entry: per-shard exclusive lock, first writer wins,
-    atomic tmp-write + rename. Best-effort on read-only/full disks."""
+    atomic tmp-write + rename. Best-effort on read-only/full disks.
+
+    An existing file that does not parse as this key's entry (corrupt,
+    truncated or of another shape) is replaced, not kept."""
     d = store_dir()
     if d is None:
         return
@@ -263,7 +262,8 @@ def _disk_store(key: RunKey, result_text: str) -> None:
         path = _shards.entry_path(d, key.stem, key.digest)
         os.makedirs(os.path.dirname(path), exist_ok=True)
         with _shards.FileLock(_shards.shard_lock_path(d, key.digest)):
-            if os.path.exists(path):
+            existing = _disk_load(key)
+            if existing is not None and _parse(key, existing) is not None:
                 return  # another process/worker already published it
             fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".json.tmp")
             try:
@@ -285,7 +285,8 @@ def _disk_store(key: RunKey, result_text: str) -> None:
 
 
 def _parse(key: RunKey, text: str) -> dict | None:
-    """Decode an entry document; None on corruption or key mismatch.
+    """Decode an entry document; None on corruption, a document that is
+    not an object holding a ``result``, or a key mismatch.
 
     The stored canonical payload must match the requested key exactly
     -- a digest collision (or a hand-edited file) degrades to a miss,
@@ -294,6 +295,8 @@ def _parse(key: RunKey, text: str) -> dict | None:
     try:
         doc = json.loads(text)
     except ValueError:
+        return None
+    if not (isinstance(doc, dict) and "result" in doc):
         return None
     if doc.get("ns") != key.namespace or doc.get("key") != key.payload:
         return None

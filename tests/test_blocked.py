@@ -1,7 +1,7 @@
 """Tests for the large-n metrics engine (PR 2).
 
 Covers the blocked bit-parallel BFS kernel (`analysis.blocked`), the
-byte-budgeted cache tier and dense-vs-streaming dispatch
+byte-budgeted cache and dense-vs-streaming dispatch
 (`repro.cache`), vectorized distinct-pair sampling (`util.rng`), and
 the batched Poisson arrival streams (`sim.arrivals`).
 """
@@ -9,7 +9,7 @@ the batched Poisson arrival streams (`sim.arrivals`).
 import numpy as np
 import pytest
 
-from repro import cache
+from repro import cache, telemetry
 from repro.analysis.blocked import (
     HopStats,
     hop_stats_from_dense,
@@ -25,15 +25,19 @@ from repro.util import make_rng, sample_distinct_pairs
 
 @pytest.fixture(autouse=True)
 def fresh_cache(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_MEM_MB", raising=False)
     monkeypatch.delenv("REPRO_BFS_BLOCK", raising=False)
+    telemetry.reset()
+    telemetry.enable()
     cache.clear_cache()
-    cache.reset_cache_stats()
     yield
     cache.clear_cache()
-    cache.reset_cache_stats()
+    telemetry.reset()
+    telemetry.refresh_from_env()
+
+
+def _count(name: str) -> int:
+    counter = telemetry.get_registry().counters.get(name)
+    return 0 if counter is None else counter.value
 
 
 def _dense_stats(topo) -> HopStats:
@@ -114,15 +118,14 @@ class TestStreamingIdentity:
 
 class TestDispatch:
     def test_budget_forces_streaming(self, monkeypatch):
-        # 64^2 float64 = 32 KB; a 1 MB... budget of 1 MB still allows it,
-        # so shrink n^2*8 over budget by lying about the budget: n=512
-        # needs 2 MB.
+        # Shrink the budget below n^2*8: n=512 needs 2 MB.
         topo = DSNTopology(512)
-        monkeypatch.setenv("REPRO_CACHE_MEM_MB", "1")
+        budget = cache.MEMORY_BUDGET_BYTES
+        monkeypatch.setattr(cache, "MEMORY_BUDGET_BYTES", 1 << 20)
         assert not cache.dense_distance_allowed(512)
         streamed = cache.hop_stats(topo)
         cache.clear_cache()
-        monkeypatch.delenv("REPRO_CACHE_MEM_MB")
+        monkeypatch.setattr(cache, "MEMORY_BUDGET_BYTES", budget)
         assert cache.dense_distance_allowed(512)
         dense = cache.hop_stats(topo)
         assert streamed.same_as(dense)
@@ -130,21 +133,12 @@ class TestDispatch:
     def test_resident_dense_matrix_is_reused(self):
         topo = DSNTopology(64)
         cache.distance_matrix(topo)
-        misses_before = cache.cache_stats().misses
+        misses_before = _count("cache.misses")
         st = cache.hop_stats(topo)
         # hop_stats itself is one more miss, but no second distance-matrix
         # computation happened (it reduced the resident int16 pack).
-        assert cache.cache_stats().misses == misses_before + 1
+        assert _count("cache.misses") == misses_before + 1
         assert st.same_as(_dense_stats(topo))
-
-    def test_hop_stats_disk_round_trip(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        topo = DSNTopology(64)
-        first = cache.hop_stats(topo)
-        cache.clear_cache()
-        restored = cache.hop_stats(DSNTopology(64))
-        assert cache.cache_stats().disk_hits >= 1
-        assert first.same_as(restored)
 
     def test_analyze_matches_streaming(self, monkeypatch):
         """`analyze` routes through the dispatch; its hop metrics equal
@@ -155,7 +149,7 @@ class TestDispatch:
         streamed = streaming_hop_stats(topo)
         dense_m = analyze(topo)  # default budget: dense path
         cache.clear_cache()
-        monkeypatch.setenv("REPRO_CACHE_MEM_MB", "1")
+        monkeypatch.setattr(cache, "MEMORY_BUDGET_BYTES", 1 << 20)
         streamed_m = analyze(topo)  # forced streaming path
         for m in (dense_m, streamed_m):
             assert m.diameter == streamed.diameter
@@ -166,22 +160,22 @@ class TestByteBudget:
     def test_oversized_entry_not_admitted(self, monkeypatch):
         # n=1024 int16 pack is 2 MB > the 1 MB budget: computed and
         # returned, but never admitted to the memory tier.
-        monkeypatch.setenv("REPRO_CACHE_MEM_MB", "1")
+        monkeypatch.setattr(cache, "MEMORY_BUDGET_BYTES", 1 << 20)
         topo = RingTopology(1024)
         d1 = cache.distance_matrix(topo)
         assert cache._peek((cache.topology_fingerprint(topo), "dist")) is None
         d2 = cache.distance_matrix(topo)  # recomputes: nothing resident
-        assert cache.cache_stats().misses == 2
+        assert _count("cache.misses") == 2
         np.testing.assert_array_equal(d1, d2)
 
     def test_eviction_on_budget_pressure(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MEM_MB", "1")
+        monkeypatch.setattr(cache, "MEMORY_BUDGET_BYTES", 1 << 20)
         # Each 256-node dist pack is 256^2*2 = 128 KB; eight fit in
         # 1 MB only after evictions start.
         for n in (250, 252, 254, 256, 258, 260, 262, 264):
             cache.distance_matrix(RingTopology(n))
-        assert cache.cache_stats().evictions > 0
-        assert cache._memory_bytes <= cache.memory_budget_bytes()
+        assert _count("cache.evictions") > 0
+        assert cache._memory_bytes <= cache.MEMORY_BUDGET_BYTES
 
 
 class TestSampleDistinctPairs:

@@ -3,14 +3,14 @@
 The cache must be invisible: every artifact it returns -- distance
 matrices, next-hop tables, path counts, up*/down* tables, simulation
 results built on them -- must be identical whether it came from a fresh
-computation, the in-process tier, or the on-disk tier, serially or in
-worker processes.
+computation or a memoized entry. Hits, misses and evictions are read
+from the telemetry counters.
 """
 
 import numpy as np
 import pytest
 
-from repro import cache
+from repro import cache, telemetry
 from repro.analysis import analyze
 from repro.core import DSNTopology
 from repro.experiments import make_topology
@@ -20,15 +20,20 @@ from repro.topologies import DLNRandomTopology, TorusTopology
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache(monkeypatch):
-    """Each test starts with empty tiers and zeroed counters, no disk."""
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+def fresh_cache():
+    """Each test starts with an empty cache and zeroed counters."""
+    telemetry.reset()
+    telemetry.enable()
     cache.clear_cache()
-    cache.reset_cache_stats()
     yield
     cache.clear_cache()
-    cache.reset_cache_stats()
+    telemetry.reset()
+    telemetry.refresh_from_env()
+
+
+def _count(name: str) -> int:
+    counter = telemetry.get_registry().counters.get(name)
+    return 0 if counter is None else counter.value
 
 
 class TestFingerprint:
@@ -61,11 +66,9 @@ class TestAccounting:
     def test_miss_then_memory_hit(self):
         topo = DSNTopology(32)
         d1 = cache.distance_matrix(topo)
-        s = cache.cache_stats()
-        assert (s.misses, s.memory_hits) == (1, 0)
+        assert (_count("cache.misses"), _count("cache.memory.hits")) == (1, 0)
         d2 = cache.distance_matrix(topo)
-        s = cache.cache_stats()
-        assert (s.misses, s.memory_hits) == (1, 1)
+        assert (_count("cache.misses"), _count("cache.memory.hits")) == (1, 1)
         # The resident entry is the int16 pack; callers get equal fresh
         # float64 views unpacked from it, not one shared mutable array.
         np.testing.assert_array_equal(d1, d2)
@@ -74,7 +77,7 @@ class TestAccounting:
     def test_rebuilt_topology_hits_by_fingerprint(self):
         d1 = cache.distance_matrix(DSNTopology(32))
         d2 = cache.distance_matrix(DSNTopology(32))
-        assert cache.cache_stats().memory_hits == 1
+        assert _count("cache.memory.hits") == 1
         np.testing.assert_array_equal(d1, d2)
 
     def test_memory_tier_holds_int16_pack(self):
@@ -84,85 +87,30 @@ class TestAccounting:
         assert entry is not None
         assert entry["dist_i16"].dtype == np.int16
 
-    def test_disabled_bypasses_and_counts_nothing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        topo = DSNTopology(32)
-        d1 = cache.distance_matrix(topo)
-        d2 = cache.distance_matrix(topo)
-        assert d1 is not d2
-        np.testing.assert_array_equal(d1, d2)
-        s = cache.cache_stats()
-        assert (s.misses, s.memory_hits, s.disk_hits) == (0, 0, 0)
-
     def test_lru_eviction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE_MEM", "2")
+        monkeypatch.setattr(cache, "MEMORY_CAPACITY", 2)
         for n in (16, 32, 64):
             cache.distance_matrix(DSNTopology(n))
-        assert cache.cache_stats().evictions == 1
+        assert _count("cache.evictions") == 1
         # The evicted (oldest) entry recomputes; the newest still hits.
         cache.distance_matrix(DSNTopology(64))
-        assert cache.cache_stats().memory_hits == 1
+        assert _count("cache.memory.hits") == 1
         cache.distance_matrix(DSNTopology(16))
-        assert cache.cache_stats().misses == 4
-
-
-class TestDiskTier:
-    def test_round_trip(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        topo = DSNTopology(32)
-        d1 = cache.distance_matrix(topo)
-        assert cache.cache_stats().disk_stores == 1
-        assert list(tmp_path.glob("*.npz"))
-
-        cache.clear_cache()  # drop the memory tier only
-        d2 = cache.distance_matrix(DSNTopology(32))
-        s = cache.cache_stats()
-        assert s.disk_hits == 1 and s.misses == 1
-        np.testing.assert_array_equal(d1, d2)
-        assert d2.dtype == np.float64
-
-    def test_corrupt_entry_recomputes(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        topo = DSNTopology(32)
-        d1 = cache.distance_matrix(topo)
-        (path,) = tmp_path.glob("*.npz")
-        path.write_bytes(b"not a zipfile")
-        cache.clear_cache()
-        d2 = cache.distance_matrix(DSNTopology(32))
-        np.testing.assert_array_equal(d1, d2)
-        assert cache.cache_stats().disk_hits == 0
-
-    def test_next_hop_and_updown_round_trip(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        topo = DSNTopology(32)
-        t1 = cache.shortest_path_table(topo)
-        u1 = cache.updown_routing(topo)
-        cache.clear_cache()
-        t2 = cache.shortest_path_table(DSNTopology(32))
-        u2 = cache.updown_routing(DSNTopology(32))
-        assert t1 is not t2 and u1 is not u2
-        p1, i1 = t1.next_hop_arrays()
-        p2, i2 = t2.next_hop_arrays()
-        np.testing.assert_array_equal(p1, p2)
-        np.testing.assert_array_equal(i1, i2)
-        for s, t in ((0, 17), (5, 30), (31, 1)):
-            assert t1.next_hops(s, t) == t2.next_hops(s, t)
-            assert u1.next_hops(s, t) == u2.next_hops(s, t)
-            assert u1.distance(s, t) == u2.distance(s, t)
-            assert u1.path(s, t) == u2.path(s, t)
+        assert _count("cache.misses") == 4
 
 
 class TestArtifactsMatchFresh:
     """Cached artifacts == independently computed ones (the cache must
     never change numbers)."""
 
-    def test_distance_matrix_matches_fresh(self, monkeypatch):
-        topo = DSNTopology(48)
-        cached = cache.distance_matrix(topo)
-        monkeypatch.setenv("REPRO_CACHE", "off")
+    def test_distance_matrix_matches_fresh(self):
         from repro.analysis.metrics import shortest_path_matrix
 
-        np.testing.assert_array_equal(cached, shortest_path_matrix(topo))
+        topo = DSNTopology(48)
+        cache.distance_matrix(topo)
+        hit = cache.distance_matrix(DSNTopology(48))
+        assert _count("cache.memory.hits") == 1
+        np.testing.assert_array_equal(hit, shortest_path_matrix(topo))
 
     def test_next_hops_match_brute_force(self):
         topo = DSNTopology(24)
@@ -196,20 +144,22 @@ class TestArtifactsMatchFresh:
                 )
         np.testing.assert_array_equal(counts, expect)
 
-    def test_updown_rehydration_equals_fresh(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_updown_rehydration_equals_fresh(self):
+        """A memoized up*/down* instance, served to a rebuilt topology,
+        equals one built from scratch."""
         topo = DSNTopology(32)
         cache.updown_routing(topo)
-        cache.clear_cache()
         restored = cache.updown_routing(DSNTopology(32))
-        monkeypatch.setenv("REPRO_CACHE", "off")
+        assert _count("cache.memory.hits") == 1
         fresh = UpDownRouting(topo)
-        assert restored.root == fresh.root
+        assert restored is not fresh and restored.root == fresh.root
         assert restored.average_path_length() == fresh.average_path_length()
         for s in range(topo.n):
             for t in range(topo.n):
                 if s != t:
                     assert restored.path(s, t) == fresh.path(s, t)
+                    assert restored.distance(s, t) == fresh.distance(s, t)
+                    assert restored.next_hops(s, t) == fresh.next_hops(s, t)
 
 
 class TestMemoTopology:
@@ -224,32 +174,24 @@ class TestMemoTopology:
             "random", 64, seed=2
         )
 
-    def test_disabled_rebuilds(self, monkeypatch):
-        monkeypatch.setenv("REPRO_CACHE", "off")
-        assert make_topology("dsn", 64) is not make_topology("dsn", 64)
-
 
 class TestDeterminism:
-    """Cold (cache off) and warm (cache on, disk-backed) runs must
-    produce byte-identical results."""
+    """Cold runs (after :func:`repro.cache.clear_cache`) and warm runs
+    (served from memoized artifacts) must produce identical results."""
 
-    def test_graph_metrics_cold_vs_warm(self, monkeypatch, tmp_path):
+    def test_graph_metrics_cold_vs_warm(self):
         """The Fig. 7-8 sweep points: the trio at n = 32..256."""
         def sweep():
             return [analyze(make_topology(k, n)) for n in (32, 64, 128, 256)
                     for k in ("dsn", "torus", "random")]
 
-        monkeypatch.setenv("REPRO_CACHE", "off")
         cold = sweep()
-        monkeypatch.setenv("REPRO_CACHE", "on")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        warm1 = sweep()
-        cache.clear_cache()  # second warm pass reads the disk tier
-        warm2 = sweep()
-        assert cold == warm1 == warm2
-        assert cache.cache_stats().disk_hits > 0
+        hits = _count("cache.memory.hits")
+        warm = sweep()
+        assert cold == warm
+        assert _count("cache.memory.hits") > hits
 
-    def test_sim_result_cold_vs_warm(self, monkeypatch, tmp_path):
+    def test_sim_result_cold_vs_warm(self):
         from repro.routing import DuatoAdaptiveRouting
         from repro.sim import AdaptiveEscapeAdapter, NetworkSimulator, SimConfig
         from repro.traffic import make_pattern
@@ -263,13 +205,10 @@ class TestDeterminism:
             pattern = make_pattern("uniform", topo.n * cfg.hosts_per_switch)
             return NetworkSimulator(topo, adapter, pattern, 4.0, cfg).run()
 
-        monkeypatch.setenv("REPRO_CACHE", "off")
         cold = run()
-        monkeypatch.setenv("REPRO_CACHE", "on")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        run()  # populate both tiers
-        cache.clear_cache()
-        warm = run()  # rehydrated from disk
+        misses = _count("cache.misses")
+        warm = run()  # every artifact a memory hit
+        assert _count("cache.misses") == misses
         assert cold.latencies_ns == warm.latencies_ns
         assert cold.hop_counts == warm.hop_counts
         assert cold.delivered_in_window_bits == warm.delivered_in_window_bits

@@ -35,9 +35,7 @@ from repro.topologies import RingTopology, TorusTopology
 
 
 @pytest.fixture(autouse=True)
-def fresh_cache(monkeypatch):
-    monkeypatch.delenv("REPRO_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
+def fresh_cache():
     cache.clear_cache()
     yield
     cache.clear_cache()
@@ -180,14 +178,12 @@ class TestCacheInvalidation:
         fs = sample_link_faults(t, 0.05, seed=2)
         assert cache.topology_fingerprint(t) != cache.topology_fingerprint(fs.apply(t))
 
-    def test_next_hops_avoid_dead_links(self, tmp_path, monkeypatch):
-        """With both cache tiers hot for the intact network, the
-        survivor's tables must be freshly derived: no next hop may use
-        a dead link, in either the shortest-path or up*/down* tables."""
-        monkeypatch.setenv("REPRO_CACHE", "on")
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    def test_next_hops_avoid_dead_links(self):
+        """With the cache hot for the intact network, the survivor's
+        tables must be freshly derived: no next hop may use a dead link,
+        in either the shortest-path or up*/down* tables."""
         t = DSNTopology(64)
-        cache.shortest_path_table(t)  # populate both tiers for the intact graph
+        cache.shortest_path_table(t)  # memoize the intact graph's tables
         cache.updown_routing(t)
 
         fs = sample_link_faults(t, 0.05, seed=4)

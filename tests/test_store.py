@@ -27,7 +27,6 @@ def fresh_store(monkeypatch):
     """Each test starts with an empty memory tier, no disk, zero stats."""
     monkeypatch.delenv("REPRO_STORE", raising=False)
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    monkeypatch.delenv("REPRO_STORE_MEM", raising=False)
     store.clear_store()
     store.reset_store_stats()
     yield
@@ -204,7 +203,7 @@ class TestMemoryTier:
         assert second == {"v": [1, 2]}
 
     def test_lru_capacity(self, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_MEM", "2")
+        monkeypatch.setattr(store.runstore, "MEMORY_CAPACITY", 2)
         keys = [store.run_key("t", {"i": i}) for i in range(3)]
         for i, k in enumerate(keys):
             store.cached_value(k, lambda i=i: {"i": i})
@@ -350,6 +349,28 @@ class TestDiskTier:
             fh.write(json.dumps(doc))
         assert store.get(key) is None
 
+    @pytest.mark.parametrize("shape", ["array", "no_result"])
+    def test_entry_of_another_shape_is_a_miss_and_rewritten(self, tmp_path, monkeypatch,
+                                                            shape):
+        """Valid JSON that is not an entry object (an array, or an object
+        with the right key but no ``result``) is a miss for every lookup,
+        and ``get_or_run`` recomputes and replaces the file."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
+        key = store.run_key("t", {"x": 1})
+        planted = [1, 2] if shape == "array" else {"ns": "t", "key": key.payload}
+        path = store.disk_entry_path(key)
+        os.makedirs(os.path.dirname(path), exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(json.dumps(planted))
+        assert store.get(key) is None
+        assert store.fetch_text(key) == (None, None)
+        assert store.cached_value(key, lambda: {"v": 7}) == {"v": 7}
+        assert store.store_stats().misses == 1
+        with open(path) as fh:
+            assert json.loads(fh.read())["result"] == {"v": 7}
+        store.clear_store()
+        assert store.fetch_text(key) == ('{"v": 7}', "disk")
+
     def test_clear_store_disk(self, tmp_path, monkeypatch):
         monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path))
         key = store.run_key("t", {"x": 1})
@@ -422,7 +443,7 @@ class TestConcurrency:
         import random
         import sys
 
-        monkeypatch.setenv("REPRO_STORE_MEM", "3")
+        monkeypatch.setattr(store.runstore, "MEMORY_CAPACITY", 3)
         keys = [store.run_key("churn", {"i": i}) for i in range(8)]
         errors = []
 
