@@ -15,7 +15,10 @@ to 64 sources at once. Per level the work is ``n * max_degree * W``
 word operations (W = block_rows / 64) regardless of how many sources
 the block holds, which is why wide blocks amortize so well on the
 low-degree topologies this repo studies; per-level pair counts come
-from ``np.bitwise_count`` so no distances are ever stored.
+from ``np.bitwise_count`` so no distances are ever stored. The same
+level loop also yields explicit distance blocks
+(:func:`source_distances`) for the dense matrix and the design pass's
+channel loads.
 
 All accumulators are exact integers (Python ints / int64), so the
 result is bit-identical to the dense path and independent of block
@@ -48,6 +51,7 @@ __all__ = [
     "streaming_hop_stats",
     "default_block_rows",
     "block_hop_kernel",
+    "source_distances",
     "padded_neighbors",
     "popcount_u64",
 ]
@@ -152,7 +156,8 @@ def dense_histogram(dist: np.ndarray, diameter: int) -> np.ndarray:
 def hop_stats_from_dense(dist: np.ndarray) -> HopStats:
     """Exact :class:`HopStats` from a dense all-pairs matrix.
 
-    Accepts the float64 csgraph output or the cache's int16 form; all
+    Accepts the float64 :func:`repro.analysis.metrics.shortest_path_matrix`
+    output or the cache's int16 form; all
     reductions are running (sum / max / blocked bincount), so no second
     n x n array is allocated."""
     n = dist.shape[0]
@@ -170,12 +175,20 @@ def hop_stats_from_dense(dist: np.ndarray) -> HopStats:
 # bit-parallel blocked BFS
 # ----------------------------------------------------------------------
 def default_block_rows(n: int) -> int:
-    """Sources per block: ``REPRO_BFS_BLOCK`` or 2048, clamped to n."""
+    """Sources per block: ``REPRO_BFS_BLOCK`` or 2048, clamped to n.
+
+    A set value that is not a positive integer is a ``ValueError``
+    naming it (a zero or negative value would otherwise mean one-source
+    blocks, a silent slowdown)."""
     raw = os.environ.get("REPRO_BFS_BLOCK", "").strip()
+    if not raw:
+        return max(1, min(n, _DEFAULT_BLOCK_ROWS))
     try:
-        rows = int(raw) if raw else _DEFAULT_BLOCK_ROWS
+        rows = int(raw)
     except ValueError:
-        rows = _DEFAULT_BLOCK_ROWS
+        rows = 0
+    if rows < 1:
+        raise ValueError(f"REPRO_BFS_BLOCK must be a positive integer, got {raw!r}")
     return max(1, min(n, rows))
 
 
@@ -197,6 +210,54 @@ def padded_neighbors(topo: Topology) -> np.ndarray:
     return pad
 
 
+def _seed_block(n: int, sources: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Initial ``(frontier, visited)`` words of one source block: bit
+    ``j % 64`` of word ``j // 64`` is set on source ``j``'s own row.
+
+    Row n of the frontier is the pad sentinel: always zero, so padded
+    neighbor slots contribute nothing to the OR-reduce."""
+    b = len(sources)
+    w = (b + 63) // 64
+    frontier = np.zeros((n + 1, w), dtype=np.uint64)
+    visited = np.zeros((n, w), dtype=np.uint64)
+    loc = np.arange(b)
+    bits = np.uint64(1) << (loc % 64).astype(np.uint64)
+    frontier[sources, loc // 64] = bits
+    visited[sources, loc // 64] = bits
+    return frontier, visited
+
+
+def _levels(pad: np.ndarray, frontier: np.ndarray, visited: np.ndarray):
+    """The BFS level loop: yield ``(level, new)`` per level.
+
+    ``new`` holds the (node, source) bits first reached at ``level``.
+    It is a view of the frontier, overwritten by the next level, so
+    consumers read it before resuming the loop. ``visited`` and
+    ``frontier`` are updated in place; the loop stops at the first
+    level that reaches nothing new.
+    """
+    n, w = visited.shape
+    cols = [np.ascontiguousarray(pad[:, k]) for k in range(pad.shape[1])]
+    if not cols:
+        return
+    unvisited = np.empty((n, w), dtype=np.uint64)
+    new = frontier[:n]
+    level = 0
+    while True:
+        level += 1
+        # Pull step: a node's next-frontier word is the OR of its
+        # neighbors' current-frontier words, one neighbor slot at a time.
+        nxt = frontier[cols[0]]
+        for col in cols[1:]:
+            nxt |= frontier[col]
+        np.invert(visited, out=unvisited)
+        np.bitwise_and(nxt, unvisited, out=new)
+        if not new.any():
+            return
+        visited |= new
+        yield level, new
+
+
 def block_hop_kernel(
     pad: np.ndarray, n: int, start: int, stop: int
 ) -> tuple[int, np.ndarray, np.ndarray, int]:
@@ -208,41 +269,59 @@ def block_hop_kernel(
     the percolation engine reuses it on survivor tables directly.
     """
     b = stop - start
-    w = (b + 63) // 64
+    frontier, visited = _seed_block(n, np.arange(start, stop))
     one = np.uint64(1)
-    # Row n is the pad sentinel: always zero, so padded neighbor slots
-    # contribute nothing to the OR-reduce.
-    frontier = np.zeros((n + 1, w), dtype=np.uint64)
-    visited = np.zeros((n, w), dtype=np.uint64)
-    loc = np.arange(b)
-    srcs = np.arange(start, stop)
-    bits = one << (loc % 64).astype(np.uint64)
-    frontier[srcs, loc // 64] = bits
-    visited[srcs, loc // 64] = bits
-
     shifts = np.arange(64, dtype=np.uint64)
     ecc = np.zeros(b, dtype=np.int64)
     counts = [0]  # level 0: sources themselves, not ordered pairs
     total = 0
-    level = 0
-    while True:
-        level += 1
-        # Pull step: a node's next-frontier word is the OR of its
-        # neighbors' current-frontier words.
-        nxt = np.bitwise_or.reduce(frontier[pad], axis=1)
-        new = nxt & ~visited
-        anyw = np.bitwise_or.reduce(new, axis=0)
-        if not anyw.any():
-            break
-        visited |= new
+    for level, new in _levels(pad, frontier, visited):
         cnt = _popcount_sum(new)
         total += level * cnt
         counts.append(cnt)
+        anyw = np.bitwise_or.reduce(new, axis=0)
         has_new = ((anyw[:, None] >> shifts) & one).astype(bool).ravel()[:b]
         ecc[has_new] = level
-        frontier[:n] = new
     reached = _popcount_sum(visited)
     return total, np.asarray(counts, dtype=np.int64), ecc, reached
+
+
+def _unpack_bits(words: np.ndarray, b: int) -> np.ndarray:
+    """(n, W) uint64 bit words -> (n, b) uint8 0/1, column j = bit j."""
+    raw = np.ascontiguousarray(words, dtype="<u8").view(np.uint8)
+    return np.unpackbits(raw, axis=1, count=b, bitorder="little")
+
+
+def source_distances(pad: np.ndarray, n: int, sources) -> np.ndarray:
+    """Hop distances from each of ``sources`` to every node, by the
+    bit-parallel BFS of :func:`block_hop_kernel`.
+
+    Returns an ``(n, len(sources))`` array whose column ``j`` holds the
+    distances from ``sources[j]``, with -1 for unreached nodes. Each
+    level's new bits are ORed into binary bit planes (plane ``k`` holds
+    bit ``k`` of the level, so about log2(diameter) of them) and the
+    planes are unpacked once at the end. The dtype is int16 unless the
+    deepest level needs more than 15 bits (then int32).
+    """
+    sources = np.asarray(sources, dtype=np.int64)
+    b = len(sources)
+    frontier, visited = _seed_block(n, sources)
+    planes: list[np.ndarray] = []
+    for level, new in _levels(pad, frontier, visited):
+        if level >> len(planes):
+            planes.append(np.zeros_like(visited))
+        for k in range(len(planes)):
+            if (level >> k) & 1:
+                planes[k] |= new
+    dtype = np.int16 if len(planes) < 16 else np.int32
+    dist = np.zeros((n, b), dtype=dtype)
+    for k, plane in enumerate(planes):
+        bits = _unpack_bits(plane, b).astype(dtype)
+        bits <<= k
+        dist |= bits
+    if _popcount_sum(visited) != n * b:
+        dist[_unpack_bits(visited, b) == 0] = -1
+    return dist
 
 
 def _block_hop_partial(args: tuple) -> tuple[int, np.ndarray, np.ndarray, int]:

@@ -5,11 +5,13 @@ size). When a caller passes an explicit dense distance matrix the
 reductions here run directly over it -- as running sums/maxes and
 row-blocked bincounts, never allocating a second n x n temporary.
 Without one, every function routes through :func:`repro.cache.hop_stats`,
-the single dispatch that picks the dense csgraph BFS or the blocked
+the single dispatch that picks the dense matrix or the blocked
 streaming engine (:mod:`repro.analysis.blocked`) based on the cache's
 byte budget (``repro.cache.MEMORY_BUDGET_BYTES``) -- so the same call
 scales from the paper's n = 2048 sweeps to n >= 10^5 without an 8 GB
-matrix.
+matrix. Both engines run the same bit-parallel BFS: the dense matrix
+of :func:`shortest_path_matrix` is filled from its per-source distance
+blocks, the streaming engine reduces its levels on the fly.
 
 ASPL is computed as the exact integer hop total divided by the ordered
 pair count, so the dense and streaming engines agree bit-for-bit.
@@ -20,9 +22,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path
-
-from repro.analysis.blocked import dense_histogram, dense_max_finite
+from repro.analysis.blocked import (
+    default_block_rows,
+    dense_histogram,
+    dense_max_finite,
+    padded_neighbors,
+    source_distances,
+)
 from repro.topologies.base import Topology
 
 __all__ = [
@@ -37,8 +43,24 @@ __all__ = [
 
 
 def shortest_path_matrix(topo: Topology) -> np.ndarray:
-    """All-pairs hop-count matrix (``inf`` for disconnected pairs)."""
-    return shortest_path(topo.adjacency_csr, method="D", unweighted=True, directed=False)
+    """All-pairs hop-count matrix (float64, ``inf`` for disconnected pairs).
+
+    Filled one source block at a time from the bit-parallel BFS
+    (:func:`repro.analysis.blocked.source_distances`): the graph is
+    undirected, so the distances from sources ``[s, e)`` are also
+    columns ``s..e``. Besides the output, only one int-typed source
+    block is live."""
+    n = topo.n
+    pad = padded_neighbors(topo)
+    rows = default_block_rows(n)
+    dist = np.empty((n, n))
+    for s in range(0, n, rows):
+        block = source_distances(pad, n, np.arange(s, min(s + rows, n)))
+        cols = dist[:, s : s + block.shape[1]]
+        cols[...] = block
+        if block.min(initial=0) < 0:
+            cols[block < 0] = np.inf
+    return dist
 
 
 def _hop_stats(topo: Topology):

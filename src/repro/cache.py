@@ -72,9 +72,10 @@ _FP_ATTR = "_repro_fingerprint"
 def dense_distance_allowed(n: int) -> bool:
     """Whether an n x n dense distance computation fits the byte budget.
 
-    Gated on the float64 matrix :func:`scipy.sparse.csgraph.shortest_path`
-    materializes while computing (8 bytes/pair) -- the true peak -- not
-    on the int16 form the cache retains afterwards.
+    Gated on the float64 matrix
+    :func:`repro.analysis.metrics.shortest_path_matrix` returns (8
+    bytes/pair) -- the peak is that output plus one int16 source block
+    of the BFS -- not on the int16 form the cache retains afterwards.
     """
     return n * n * 8 <= MEMORY_BUDGET_BYTES
 

@@ -202,6 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="process-pool size (or 'auto'); default REPRO_WORKERS")
     rs.add_argument("--out", default=None, metavar="FILE",
                     help="write the sweep artifact JSON to FILE")
+    _store_args(rs, "persist sweep points under DIR")
 
     sw = sub.add_parser(
         "sweep",
@@ -532,6 +533,7 @@ def _cmd_router_sweep(args) -> None:
     from repro.experiments import format_router_sweep, router_sweep
     from repro.sim import SimConfig
 
+    _apply_store_flags(args)
     config = SimConfig() if args.full else SimConfig(
         warmup_ns=4000, measure_ns=12000, drain_ns=24000
     )

@@ -14,10 +14,14 @@ One candidate evaluation produces every axis the frontier trades off:
   uniform traffic with every minimal path equally likely, the expected
   load of a directed channel *is* its edge betweenness, which is what
   :func:`repro.sim.model.build_uniform_model` computes in O(C n^2) --
-  too slow to sweep a design space. The Brandes accumulation here is
-  O(sources x diameter) vectorized edge passes: exact when every node
-  is a source (the default up to ``REPRO_DESIGN_SOURCES`` nodes), a
-  seed-stable estimate from a deterministic source sample above it.
+  too slow to sweep a design space. The Brandes accumulation here
+  takes its distance rows from the bit-parallel BFS
+  (:func:`repro.analysis.blocked.source_distances`) and runs a block of
+  sources at once, one ``np.bincount`` per BFS level and pass, so its
+  Python work is O(diameter) per block rather than per source: exact
+  when every node is a source (the default up to
+  ``REPRO_DESIGN_SOURCES`` nodes), a seed-stable estimate from a
+  deterministic source sample above it.
 
 Every evaluation is memoized through :func:`repro.store.get_or_run`
 under a key built from the candidate *spec* (plus the floorplan, cost
@@ -31,9 +35,9 @@ import os
 from dataclasses import asdict
 
 import numpy as np
-from scipy.sparse.csgraph import shortest_path as _sp_shortest_path
 
 from repro import store, telemetry
+from repro.analysis.blocked import _DISCONNECTED_MSG, padded_neighbors, source_distances
 from repro.design.space import Candidate, build_candidate
 from repro.layout.cable import cable_lengths
 from repro.layout.cost import CostModel, interconnect_cost
@@ -59,6 +63,10 @@ DESIGN_EVAL_VERSION = 1
 #: Source-sample ceiling of the exact-betweenness pass (see
 #: :func:`design_sources`).
 DEFAULT_DESIGN_SOURCES = 64
+
+#: (sources x channels) entries one Brandes sub-block may hold: bounds
+#: the pass's working set (2^18 entries is about 2 MB per float64 array).
+BRANDES_BLOCK_ENTRIES = 1 << 18
 
 
 def design_sources() -> int:
@@ -89,8 +97,8 @@ def channel_load_shares(
     ``i``'s u->v / v->u channel). The all-sources result is pinned
     against :func:`repro.sim.model.build_uniform_model` -- which uses
     the same probabilities in interleaved order -- by
-    ``tests/test_design.py``. A budget below one source is a
-    ``ValueError``.
+    ``tests/test_design.py``. A budget below one source or a
+    disconnected topology raises ``ValueError``.
     """
     n = topo.n
     limit = sources if sources is not None else design_sources()
@@ -107,29 +115,84 @@ def channel_load_shares(
     eu = np.concatenate([u, v])  # directed tails: forward then reverse
     ev = np.concatenate([v, u])
 
-    dist = _sp_shortest_path(
-        topo.adjacency_csr, method="D", unweighted=True, directed=False, indices=src
-    )
+    pad = padded_neighbors(topo)
     flow = np.zeros(len(eu))
-    sigma = np.empty(n)
-    delta = np.empty(n)
-    for row in dist:
-        du, dv = row[eu], row[ev]
-        maxd = int(row.max())
-        # Tree edges grouped by the head's BFS level, reused both ways.
-        levels = [np.nonzero((du == lvl - 1) & (dv == lvl))[0]
-                  for lvl in range(1, maxd + 1)]
-        sigma.fill(0.0)
-        sigma[row == 0] = 1.0  # the source itself
-        for sel in levels:
-            np.add.at(sigma, ev[sel], sigma[eu[sel]])
-        delta.fill(0.0)
-        for sel in reversed(levels):
-            contrib = sigma[eu[sel]] / sigma[ev[sel]] * (1.0 + delta[ev[sel]])
-            flow[sel] += contrib
-            np.add.at(delta, eu[sel], contrib)
+    sub = max(1, BRANDES_BLOCK_ENTRIES // max(1, len(eu)))
+    # Distances come 64-source words at a time; Brandes runs on
+    # sub-blocks of them, so neither pass holds more than about
+    # BRANDES_BLOCK_ENTRIES (source, channel) entries.
+    chunk = -(-sub // 64) * 64
+    for c0 in range(0, len(src), chunk):
+        dist = source_distances(pad, n, src[c0 : c0 + chunk])
+        if dist.min(initial=0) < 0:
+            raise ValueError(_DISCONNECTED_MSG)
+        for s0 in range(0, dist.shape[1], sub):
+            _brandes_block(np.ascontiguousarray(dist[:, s0 : s0 + sub].T), eu, ev, flow)
     total = flow.sum()
     return (flow / total if total else flow), len(src)
+
+
+def _brandes_block(
+    dist: np.ndarray, eu: np.ndarray, ev: np.ndarray, flow: np.ndarray
+) -> None:
+    """Add one block of sources' Brandes edge dependencies to ``flow``.
+
+    ``dist`` is ``(b, n)``: row ``i`` holds source ``i``'s hop distances.
+    The per-node path counts ``sigma`` and dependencies ``delta`` of all
+    ``b`` sources live in one array ordered by BFS level, so each level
+    of each pass is one ``np.bincount`` over that level's tree edges.
+    ``np.bincount`` adds in input order, and the tree edges keep their
+    (source, channel) order within a level, so every node sums its
+    terms in channel order, exactly as a per-source ``np.add.at`` loop
+    does; the per-source rows are then added into ``flow`` in source
+    order. The floats are therefore bit-identical to that loop.
+    """
+    b, n = dist.shape
+    m = len(eu)
+    # Tree edges, as flat (source, channel) indices ``f = s * m + e``:
+    # the head is one level below the tail. Grouped by the head's level.
+    dv = dist[:, ev].ravel()
+    f = np.flatnonzero(dv == dist[:, eu].ravel() + 1)
+    lvl = dv[f]
+    order = np.argsort(lvl, kind="stable")
+    f, lvl = f[order], lvl[order]
+    depth = int(lvl[-1]) if len(lvl) else 0
+    edge_off = np.searchsorted(lvl, np.arange(depth + 2))
+
+    # Position of (source, node) in the level-ordered state arrays.
+    flat = dist.ravel()
+    by_level = np.argsort(flat, kind="stable")
+    pos = np.empty(b * n, dtype=np.int64)
+    pos[by_level] = np.arange(b * n)
+    node_off = np.searchsorted(flat[by_level], np.arange(depth + 2))
+    s_idx, e_idx = np.divmod(f, m)
+    base = s_idx * n
+    tail = pos[base + eu[e_idx]]
+    head = pos[base + ev[e_idx]]
+
+    sigma = np.zeros(b * n)
+    sigma[: node_off[1]] = 1.0  # the sources themselves
+    for lv in range(1, depth + 1):
+        e = slice(edge_off[lv], edge_off[lv + 1])
+        sigma[node_off[lv] : node_off[lv + 1]] = np.bincount(
+            head[e] - node_off[lv],
+            weights=sigma[tail[e]],
+            minlength=node_off[lv + 1] - node_off[lv],
+        )
+    delta = np.zeros(b * n)
+    contrib = np.empty(len(lvl))
+    for lv in range(depth, 0, -1):
+        e = slice(edge_off[lv], edge_off[lv + 1])
+        t, h = tail[e], head[e]
+        c = sigma[t] / sigma[h] * (1.0 + delta[h])
+        contrib[e] = c
+        delta[node_off[lv - 1] : node_off[lv]] = np.bincount(
+            t - node_off[lv - 1], weights=c, minlength=node_off[lv] - node_off[lv - 1]
+        )
+    rows = np.zeros(b * m)
+    rows[f] = contrib
+    for row in rows.reshape(b, m):
+        flow += row
 
 
 # ----------------------------------------------------------------------

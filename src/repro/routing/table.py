@@ -3,8 +3,9 @@
 ``ShortestPathTable`` precomputes, for every (node, destination) pair,
 the set of neighbors that lie on a minimal path -- the candidate set
 the Duato-style adaptive routing draws from, and the "ideal minimal
-routing" baseline of the balance analysis. Distances come from one
-vectorized csgraph BFS (no per-pair Python search); the minimal
+routing" baseline of the balance analysis. Distances come from the
+bit-parallel BFS of :func:`repro.analysis.metrics.shortest_path_matrix`
+(no per-pair Python search); the minimal
 next-hop sets are materialized once into a CSR-style int32 array (one
 vectorized pass over ``dist`` and the adjacency structure), so the
 per-packet lookups on the simulator hot path are plain array slices.

@@ -8,11 +8,16 @@ the batched Poisson arrival streams (`sim.arrivals`).
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.csgraph import shortest_path
 
 from repro import cache, telemetry
 from repro.analysis.blocked import (
     HopStats,
     hop_stats_from_dense,
+    padded_neighbors,
+    source_distances,
     streaming_hop_stats,
 )
 from repro.analysis.metrics import shortest_path_matrix
@@ -20,6 +25,7 @@ from repro.core import DSNTopology
 from repro.experiments.sweeps import make_topology
 from repro.sim.arrivals import PoissonGaps
 from repro.topologies import RingTopology, TorusTopology
+from repro.topologies.base import Topology
 from repro.util import make_rng, sample_distinct_pairs
 
 
@@ -40,8 +46,81 @@ def _count(name: str) -> int:
     return 0 if counter is None else counter.value
 
 
+def _scipy_dist(topo) -> np.ndarray:
+    """Reference all-pairs matrix from scipy's Dijkstra, independent of
+    the bit-parallel kernel that ``shortest_path_matrix`` uses."""
+    return shortest_path(topo.adjacency_csr, method="D", unweighted=True, directed=False)
+
+
 def _dense_stats(topo) -> HopStats:
-    return hop_stats_from_dense(shortest_path_matrix(topo))
+    return hop_stats_from_dense(_scipy_dist(topo))
+
+
+def _assert_same_matrix(got: np.ndarray, expect: np.ndarray) -> None:
+    assert got.dtype == expect.dtype
+    assert np.array_equal(got, expect)
+    assert np.array_equal(np.isinf(got), np.isinf(expect))
+
+
+#: Every ``make_topology`` kind, at a size each builder accepts.
+BUILDERS = [
+    ("dsn", 64), ("dsn", 100), ("dsn", 256), ("dsn_e", 64), ("dsn_v", 64),
+    ("dsn_d", 64), ("torus", 64), ("torus", 256), ("torus3d", 64), ("mesh", 64),
+    ("random", 64), ("random", 256), ("dln", 64), ("random_regular", 64),
+    ("kleinberg", 64), ("ring", 3), ("ring", 33), ("ring", 256), ("hypercube", 64),
+    ("debruijn", 64), ("ccc", 64),
+]
+
+
+def _two_paths():
+    return Topology(6, [(0, 1), (1, 2), (3, 4), (4, 5)], name="two-paths")
+
+
+class TestDenseDistances:
+    """``shortest_path_matrix`` (bit-parallel BFS) against scipy's
+    Dijkstra, the implementation it replaced: same dtype, same values,
+    same ``inf`` entries."""
+
+    @pytest.mark.parametrize("kind,n", BUILDERS, ids=lambda x: str(x))
+    def test_matches_scipy_for_every_builder(self, kind, n):
+        topo = make_topology(kind, n, seed=0)
+        _assert_same_matrix(shortest_path_matrix(topo), _scipy_dist(topo))
+
+    def test_disconnected_matches_scipy(self):
+        topo = _two_paths()
+        got = shortest_path_matrix(topo)
+        _assert_same_matrix(got, _scipy_dist(topo))
+        assert np.isinf(got).sum() == 18
+
+    @pytest.mark.parametrize("rows", ["1", "5", "64", "65"])
+    def test_source_blocks_are_invisible(self, rows, monkeypatch):
+        topo = make_topology("dsn", 100)
+        monkeypatch.setenv("REPRO_BFS_BLOCK", rows)
+        _assert_same_matrix(shortest_path_matrix(topo), _scipy_dist(topo))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=150).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(
+                    st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n
+                ),
+            )
+        )
+    )
+    def test_random_graphs_match_scipy(self, graph):
+        n, pairs = graph
+        links = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+        topo = Topology(n, links, name="hypothesis")
+        _assert_same_matrix(shortest_path_matrix(topo), _scipy_dist(topo))
+
+    def test_source_distances_columns_and_unreached(self):
+        topo = _two_paths()
+        dist = source_distances(padded_neighbors(topo), topo.n, [4, 0])
+        assert dist.dtype == np.int16
+        assert dist[:, 0].tolist() == [-1, -1, -1, 1, 0, 1]
+        assert dist[:, 1].tolist() == [0, 1, 2, -1, -1, -1]
 
 
 class TestStreamingIdentity:
@@ -81,6 +160,17 @@ class TestStreamingIdentity:
         expect = _dense_stats(topo)
         monkeypatch.setenv("REPRO_BFS_BLOCK", "13")
         assert expect.same_as(streaming_hop_stats(topo))
+
+    @pytest.mark.parametrize("raw", ["abc", "0", "-3"])
+    def test_bad_env_block_rejected(self, raw, monkeypatch):
+        from repro.faults import percolation
+
+        monkeypatch.setenv("REPRO_BFS_BLOCK", raw)
+        expect = f"REPRO_BFS_BLOCK must be a positive integer, got '{raw}'"
+        with pytest.raises(ValueError, match=expect):
+            streaming_hop_stats(DSNTopology(64))
+        with pytest.raises(ValueError, match=expect):
+            percolation._block_budget()
 
     def test_worker_invariant(self):
         topo = DSNTopology(100)

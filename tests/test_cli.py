@@ -1,8 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _apply_store_flags, build_parser, main
 
 
 class TestParser:
@@ -28,6 +30,24 @@ class TestParser:
             build_parser().parse_args(["store", "gc", f"--max-bytes={size}"])
         assert exc.value.code == 2
         assert repr(size) in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags,env",
+        [
+            (["--no-store"], {"REPRO_STORE": "off"}),
+            (["--store-dir", "DIR"], {"REPRO_STORE_DIR": "DIR"}),
+            (["--resume"], {"REPRO_STORE_DIR": ".repro-store"}),
+        ],
+    )
+    def test_router_sweep_store_flags(self, flags, env, monkeypatch):
+        for name in ("REPRO_STORE", "REPRO_STORE_DIR"):
+            # setenv first, so that teardown also undoes the value that
+            # _apply_store_flags writes when the variable was unset.
+            monkeypatch.setenv(name, "")
+            monkeypatch.delenv(name)
+        args = build_parser().parse_args(["router-sweep", "--n", "16", *flags])
+        _apply_store_flags(args)
+        assert {k: os.environ.get(k) for k in env} == env
 
 
 class TestCommands:

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import shortest_path
 
 from repro import store
 from repro.cli import main
@@ -23,10 +24,12 @@ from repro.design import (
     frontier_text,
     pareto_front,
 )
+from repro.design import objectives
 from repro.design.space import MIN_DESIGN_N
 from repro.experiments.sweeps import make_topology
 from repro.serve import handlers
 from repro.sim.model import build_uniform_model
+from repro.topologies.base import Topology
 
 
 @pytest.fixture(autouse=True)
@@ -91,7 +94,79 @@ class TestSpace:
         assert c.as_dict()["params"] == {"degree": 4}
 
 
+def _per_source_shares(topo, limit, seed=0):
+    """Reference ``channel_load_shares``: scipy distance rows and one
+    Brandes pass per source, with ``np.add.at`` accumulation. This is
+    the loop the blocked accumulator replaced; it must give the same
+    floats, bit for bit."""
+    n = topo.n
+    if n <= limit:
+        src = np.arange(n)
+    else:
+        src = np.sort(np.random.default_rng(seed).permutation(n)[:limit])
+    u = np.array([l.u for l in topo.links], dtype=np.int64)
+    v = np.array([l.v for l in topo.links], dtype=np.int64)
+    eu = np.concatenate([u, v])
+    ev = np.concatenate([v, u])
+    dist = shortest_path(
+        topo.adjacency_csr, method="D", unweighted=True, directed=False, indices=src
+    )
+    flow = np.zeros(len(eu))
+    sigma = np.empty(n)
+    delta = np.empty(n)
+    for row in dist:
+        du, dv = row[eu], row[ev]
+        levels = [np.nonzero((du == lvl - 1) & (dv == lvl))[0]
+                  for lvl in range(1, int(row.max()) + 1)]
+        sigma.fill(0.0)
+        sigma[row == 0] = 1.0
+        for sel in levels:
+            np.add.at(sigma, ev[sel], sigma[eu[sel]])
+        delta.fill(0.0)
+        for sel in reversed(levels):
+            contrib = sigma[eu[sel]] / sigma[ev[sel]] * (1.0 + delta[ev[sel]])
+            flow[sel] += contrib
+            np.add.at(delta, eu[sel], contrib)
+    total = flow.sum()
+    return (flow / total if total else flow), len(src)
+
+
 class TestChannelShares:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("kind", ["dsn", "torus", "random", "ring"])
+    def test_sampled_shares_equal_per_source_oracle(self, kind, seed):
+        topo = make_topology(kind, 256)
+        got, used = channel_load_shares(topo, sources=16, seed=seed)
+        expect, used_ref = _per_source_shares(topo, 16, seed=seed)
+        assert used == used_ref == 16
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("kind", ["dsn", "torus", "random", "ring", "hypercube"])
+    def test_all_sources_shares_equal_per_source_oracle(self, kind):
+        topo = make_topology(kind, 64)
+        got, used = channel_load_shares(topo, sources=64)
+        expect, _ = _per_source_shares(topo, 64)
+        assert used == 64
+        assert np.array_equal(got, expect)
+
+    @pytest.mark.parametrize("entries", [1, 700, 5000])
+    def test_sub_block_boundaries_are_invisible(self, entries, monkeypatch):
+        # 1 entry: one source per sub-block; 700 and 5000 leave ragged
+        # sub-blocks inside each 64-source distance chunk.
+        topo = make_topology("dsn", 100)
+        expect, _ = _per_source_shares(topo, 100)
+        monkeypatch.setattr(objectives, "BRANDES_BLOCK_ENTRIES", entries)
+        got, _ = channel_load_shares(topo, sources=100)
+        assert np.array_equal(got, expect)
+        sampled, _ = channel_load_shares(topo, sources=70, seed=5)
+        assert np.array_equal(sampled, _per_source_shares(topo, 70, seed=5)[0])
+
+    @pytest.mark.parametrize("sources", [None, 2, 6])
+    def test_disconnected_topology_is_named(self, sources):
+        topo = Topology(6, [(0, 1), (1, 2), (3, 4), (4, 5)], name="two-paths")
+        with pytest.raises(ValueError, match="topology is disconnected"):
+            channel_load_shares(topo, sources=sources)
+
     @pytest.mark.parametrize("kind", ["dsn", "torus", "random"])
     def test_exact_shares_match_uniform_model(self, kind):
         topo = make_topology(kind, 32)
